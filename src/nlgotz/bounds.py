@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Literal, Optional
 
-from .macaulay import upper_macaulay
+from .macaulay import growth_slack_sum, upper_macaulay
 
 __all__ = [
     "ThreefoldInvariants",
@@ -354,7 +354,7 @@ def contradiction_trace(
     else:
         el = d - 5 - (twist - 3)
     slack = b if b >= 2 else 0
-    slack_sum = (slack + 1) * (2 * n_chain + 2 - slack) // 2
+    slack_sum = growth_slack_sum(n_chain, slack)
 
     steps = [
         HypothesisCheck("floor_exists", True, f"floor {res.floor_value} on {res.branch}"),

@@ -18,7 +18,14 @@ from .bounds import blowup_ampleness
 from .catalog import default_catalog, dumps_catalog, find_record, load_catalog
 from .graded import DEFAULT_PRIME
 from .macaulay import lower_macaulay, macaulay_rep, upper_macaulay
-from .verify import DEFAULT_SEED, SUITES, VerifyConfig, consistency_sweep, run_suite
+from .verify import (
+    DEFAULT_SEED,
+    DEFAULT_TRACE_DMAX,
+    SUITES,
+    VerifyConfig,
+    consistency_sweep,
+    run_suite,
+)
 
 _ENV_SEED = "NLGOTZ_SEED"
 _ENV_PRIME = "NLGOTZ_PRIME"
@@ -83,17 +90,18 @@ def _parser() -> argparse.ArgumentParser:
     b.add_argument("--p3", action="store_true")
     b.add_argument("--format", choices=("table", "csv"), default="table")
 
+    cfg = VerifyConfig()
     v = sub.add_parser("verify", help="run a verification suite")
     v.add_argument("suite", choices=SUITES + ("consistency", "all"))
-    v.add_argument("--trials", type=int, default=500)
+    v.add_argument("--trials", type=int, default=cfg.trials)
     v.add_argument("--seed", type=int, default=None)
     v.add_argument("--prime", type=int, default=None)
-    v.add_argument("--cmax", type=int, default=2000)
-    v.add_argument("--dmax", type=int, default=10)
-    v.add_argument("--nmax", type=int, default=30)
-    v.add_argument("--t-max", type=int, default=6)
-    v.add_argument("--budget", type=int, default=20_000)
-    v.add_argument("--trace-dmax", type=int, default=60)
+    v.add_argument("--cmax", type=int, default=cfg.c_max)
+    v.add_argument("--dmax", type=int, default=cfg.d_max)
+    v.add_argument("--nmax", type=int, default=cfg.n_max)
+    v.add_argument("--t-max", type=int, default=cfg.t_max)
+    v.add_argument("--budget", type=int, default=cfg.entry_budget)
+    v.add_argument("--trace-dmax", type=int, default=DEFAULT_TRACE_DMAX)
     v.add_argument("--format", choices=("table", "csv"), default="table")
     v.add_argument("--out", metavar="PATH", help="also write the report (in the chosen format)")
 

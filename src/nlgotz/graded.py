@@ -199,22 +199,35 @@ def random_subspace(
     return GradedSubspace(context, sheaf, degree, rows)
 
 
-def _times_linear_forms(v: GradedSubspace) -> GradedSubspace:
-    """The image of V under multiplication by all linear forms, one degree up."""
-    ctx = v.context
-    nv = ctx.N + 1
-    src, n_src = _layout(ctx, v.sheaf, v.degree)
-    tgt, n_tgt = _layout(ctx, v.sheaf, v.degree + 1)
-    r = v.dim
-    if r == 0:
-        return zero_subspace(ctx, v.sheaf, v.degree + 1)
-    rows = np.zeros((r * nv, n_tgt), dtype=np.int64)
+def _column_maps(context: RingContext, sheaf: SplitSheaf, degree: int) -> list[np.ndarray]:
+    """Multiplication by each variable x_i, as a column map one degree up.
+
+    Entry j of map i is the column of x_i times basis element j of
+    H^0(M(degree)) inside the basis of H^0(M(degree + 1)).
+    """
+    nv = context.N + 1
+    src, n_src = _layout(context, sheaf, degree)
+    tgt, _ = _layout(context, sheaf, degree + 1)
+    maps = []
     for i in range(nv):
         colmap = np.empty(n_src, dtype=np.int64)
-        for (a, m, dim, off), (_, _, _, toff) in zip(src, tgt):
+        for (_, m, dim, off), (_, _, _, toff) in zip(src, tgt):
             if dim == 0:
                 continue
             colmap[off : off + dim] = toff + shift_table(nv, m, unit_exponent(nv, i))
+        maps.append(colmap)
+    return maps
+
+
+def _times_linear_forms(v: GradedSubspace) -> GradedSubspace:
+    """The image of V under multiplication by all linear forms, one degree up."""
+    ctx = v.context
+    r = v.dim
+    if r == 0:
+        return zero_subspace(ctx, v.sheaf, v.degree + 1)
+    maps = _column_maps(ctx, v.sheaf, v.degree)
+    rows = np.zeros((r * len(maps), section_dim(v.sheaf, v.degree + 1, ctx)), dtype=np.int64)
+    for i, colmap in enumerate(maps):
         rows[i * r : (i + 1) * r, colmap] = v.basis
     return GradedSubspace(ctx, v.sheaf, v.degree + 1, rows)
 
@@ -308,19 +321,12 @@ def _linear_form_matrix(
     context: RingContext, sheaf: SplitSheaf, degree: int, lam: np.ndarray
 ) -> np.ndarray:
     """Matrix of multiplication by the linear form lam . x, one degree up."""
-    nv = context.N + 1
-    src, n_src = _layout(context, sheaf, degree - 1)
-    tgt, n_tgt = _layout(context, sheaf, degree)
-    m_l = np.zeros((n_src, n_tgt), dtype=np.int64)
+    n_src = section_dim(sheaf, degree - 1, context)
+    m_l = np.zeros((n_src, section_dim(sheaf, degree, context)), dtype=np.int64)
     if n_src == 0:
         return m_l
     rows = np.arange(n_src)
-    for i in range(nv):
-        colmap = np.empty(n_src, dtype=np.int64)
-        for (a, m, dim, off), (_, _, _, toff) in zip(src, tgt):
-            if dim == 0:
-                continue
-            colmap[off : off + dim] = toff + shift_table(nv, m, unit_exponent(nv, i))
+    for i, colmap in enumerate(_column_maps(context, sheaf, degree - 1)):
         m_l[rows, colmap] = (m_l[rows, colmap] + int(lam[i])) % context.p
     return m_l
 

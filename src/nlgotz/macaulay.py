@@ -26,6 +26,7 @@ __all__ = [
     "macaulay_rep",
     "upper_macaulay",
     "lower_macaulay",
+    "growth_slack_sum",
     "GrowthSlackCheck",
     "growth_slack_check",
     "green_implication_scan",
@@ -125,6 +126,14 @@ def lower_macaulay(c: int, d: int) -> int:
     return sum(binom(k - 1, rep.degree - j) for j, k in enumerate(rep.ks))
 
 
+def growth_slack_sum(n: int, e: int) -> int:
+    """The triangular sum (n + 1) + n + ... + (n + 1 - e) = (e + 1)(2n + 2 - e) / 2.
+
+    No range check: callers test whether (n, e) is in the domain themselves.
+    """
+    return (e + 1) * (2 * n + 2 - e) // 2
+
+
 @dataclass(frozen=True)
 class GrowthSlackCheck:
     """Outcome of the slack form of the growth bound."""
@@ -147,7 +156,7 @@ def growth_slack_check(c: int, n: int, e: int) -> GrowthSlackCheck:
         raise ValueError("slack e must lie in [0, n + 1]")
     if c < 0:
         raise ValueError("c must be nonnegative")
-    slack_sum = (e + 1) * (2 * n + 2 - e) // 2
+    slack_sum = growth_slack_sum(n, e)
     upper = upper_macaulay(c, n)
     return GrowthSlackCheck(
         hypothesis_met=c < slack_sum,

@@ -1,23 +1,14 @@
 """Exact dense linear algebra over a prime field F_p.
 
 All matrices are numpy int64 arrays with entries reduced into [0, p).  Row
-reduction runs through a compiled kernel when the extension built, and through
-a vectorized numpy fallback otherwise; both produce identical reduced row
-echelon forms, so every result here is exact and backend independent.
+reduction is one numpy kernel, vectorized over rows; every intermediate
+product stays below p**2 < 2**62, so every result here is exact for each
+prime p < 2**31.
 """
 
 from __future__ import annotations
 
 import numpy as np
-
-try:
-    from . import _kernel as _impl
-
-    BACKEND = "compiled"
-except ImportError:  # extension not built; numpy fallback
-    from . import _kernel_py as _impl
-
-    BACKEND = "python"
 
 MAX_PRIME = 2**31
 
@@ -62,13 +53,40 @@ def asmod(mat: np.ndarray, p: int) -> np.ndarray:
     return a
 
 
+def _rref_inplace(a: np.ndarray, p: int) -> int:
+    """Reduce `a` to reduced row echelon form mod p and return its rank.
+
+    `a` is a C-contiguous int64 array with entries in [0, p).
+    """
+    m, n = a.shape
+    r = 0
+    for c in range(n):
+        if r == m:
+            break
+        nz = np.nonzero(a[r:, c])[0]
+        if nz.size == 0:
+            continue
+        piv = r + int(nz[0])
+        if piv != r:
+            a[[r, piv]] = a[[piv, r]]
+        inv = pow(int(a[r, c]), -1, p)
+        if inv != 1:
+            a[r, c:] = a[r, c:] * inv % p
+        rows = np.nonzero(a[:, c])[0]
+        rows = rows[rows != r]
+        if rows.size:
+            # products stay below p**2 < 2**62, safe in int64
+            a[rows, c:] = (a[rows, c:] - np.outer(a[rows, c], a[r, c:])) % p
+        r += 1
+    return r
+
+
 def rref(mat: np.ndarray, p: int) -> tuple[np.ndarray, int]:
     """Reduced row echelon form (a copy) and rank."""
     a = asmod(mat, p)
     if a.size == 0:
         return a, 0
-    r = _impl.rref_inplace(a, p)
-    return a, r
+    return a, _rref_inplace(a, p)
 
 
 def row_space(mat: np.ndarray, p: int) -> np.ndarray:
@@ -101,10 +119,6 @@ def reduce_rows(basis: np.ndarray, vectors: np.ndarray, p: int) -> np.ndarray:
     w -= matmul_mod(w[:, piv], basis, p)
     np.remainder(w, p, out=w)
     return w
-
-
-def in_row_space(basis: np.ndarray, vectors: np.ndarray, p: int) -> bool:
-    return not np.any(reduce_rows(basis, vectors, p))
 
 
 def nullspace(mat: np.ndarray, p: int) -> np.ndarray:

@@ -35,11 +35,12 @@ from .graded import (
     section_dim,
     subspace_from_rows,
 )
-from .macaulay import green_implication_scan, growth_slack_check
+from .macaulay import green_implication_scan, growth_slack_check, growth_slack_sum
 from .monomials import monomial_index
 
 __all__ = [
     "DEFAULT_SEED",
+    "DEFAULT_TRACE_DMAX",
     "SUITES",
     "VerifyConfig",
     "TrialRow",
@@ -50,6 +51,7 @@ __all__ = [
 ]
 
 DEFAULT_SEED = 0xC0FFEE
+DEFAULT_TRACE_DMAX = 60
 
 SUITES = ("macaulay", "restriction", "koszul", "green-scan", "growth", "thresholds")
 
@@ -74,6 +76,20 @@ class VerifyConfig:
     n_max: int = 30
     t_max: int = 6
     entry_budget: int = 20_000
+
+    def __post_init__(self):
+        # below these sizes a suite checks nothing (or cannot run) yet would pass
+        for name, least in (
+            ("trials", 1),
+            ("c_max", 0),
+            ("d_max", 2),
+            ("n_max", 1),
+            ("t_max", 1),
+            ("entry_budget", 1),
+        ):
+            value = getattr(self, name)
+            if value < least:
+                raise ValueError(f"{name} must be at least {least}, got {value}")
 
 
 @dataclass(frozen=True)
@@ -279,7 +295,7 @@ def run_growth_suite(cfg: VerifyConfig) -> SuiteReport:
     t = 0
     for n in range(1, cfg.n_max + 1):
         for e in range(0, n + 2):
-            slack_sum = (e + 1) * (2 * n + 2 - e) // 2
+            slack_sum = growth_slack_sum(n, e)
             bad = 0
             for c in range(0, slack_sum):
                 chk = growth_slack_check(c, n, e)
@@ -331,7 +347,7 @@ def _threshold_grid_rows(report: SuiteReport, t0: int, cfg: VerifyConfig) -> int
         ok = True
         for d in range(thr, thr + window + 1):
             lhs, n = forms(d)
-            slack_sum = (b + 1) * (2 * n + 2 - b) // 2
+            slack_sum = growth_slack_sum(n, b)
             margin = slack_sum - 1 - lhs
             if worst is None or margin < worst:
                 worst = margin
@@ -367,13 +383,14 @@ def run_thresholds_suite(cfg: VerifyConfig) -> SuiteReport:
 
 
 def consistency_sweep(
-    records: tuple[CatalogRecord, ...] | None = None, d_max: int = 60
+    records: tuple[CatalogRecord, ...] | None = None, d_max: int = DEFAULT_TRACE_DMAX
 ) -> SuiteReport:
     """Replay the contradiction argument under every floor the catalog yields.
 
     For each entry, variant, H^1 state and degree d <= d_max where the
     evaluator returns a floor F >= 1, the trace at c_hyp = F - 1 must confirm
     the contradiction; floors of 0 or less assert nothing and pass vacuously.
+    A sweep that meets no floor at all checks nothing and is refused.
     """
     report = SuiteReport("consistency")
     if records is None:
@@ -414,6 +431,8 @@ def consistency_sweep(
                         )
                     )
                     t += 1
+    if not report.rows:
+        raise ValueError(f"no catalog entry has a floor at any d <= {d_max}; the sweep checks nothing")
     return report
 
 

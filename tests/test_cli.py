@@ -153,6 +153,23 @@ def test_verify_reports_violations(monkeypatch, capsys):
     assert "FAIL trial 0" in out
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["restriction", "--trials", "0"],
+        ["growth", "--nmax", "0"],
+        ["consistency", "--trace-dmax", "0"],
+        ["green-scan", "--dmax", "1"],
+        ["macaulay", "--trials", "-3"],
+    ],
+)
+def test_verify_rejects_sizes_that_check_nothing(args, capsys):
+    assert main(["verify", *args]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ")
+    assert "checks passed" not in captured.out
+
+
 def test_verify_rejects_unknown_suite(capsys):
     assert main(["verify", "nonsense"]) == 2
     capsys.readouterr()

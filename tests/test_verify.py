@@ -105,3 +105,25 @@ def test_suite_report_accounting():
     rep.rows.append(TrialRow("demo", 1, "p", "o", "b", False))
     assert rep.total == 2
     assert len(rep.failures) == 1 and not rep.all_passed
+
+
+@pytest.mark.parametrize(
+    "sizes",
+    [
+        {"trials": 0},
+        {"c_max": -1},
+        {"d_max": 1},
+        {"n_max": 0},
+        {"t_max": 0},
+        {"entry_budget": 0},
+    ],
+)
+def test_config_rejects_sizes_that_check_nothing(sizes):
+    with pytest.raises(ValueError, match="must be at least"):
+        VerifyConfig(**sizes)
+
+
+@pytest.mark.parametrize("kwargs", [{"d_max": 0}, {"records": ()}])
+def test_consistency_sweep_rejects_empty_sweeps(kwargs):
+    with pytest.raises(ValueError, match="checks nothing"):
+        consistency_sweep(**kwargs)
