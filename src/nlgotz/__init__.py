@@ -29,6 +29,7 @@ from .catalog import (
     save_catalog,
 )
 from .graded import (
+    AdditivityError,
     BudgetExceededError,
     CertificationError,
     GenericityError,
@@ -75,4 +76,4 @@ from .verify import (
 __version__ = "0.1.0"
 
 # the one row-reduction kernel (`modp`), named in run records
-KERNEL_BACKEND = "python"
+KERNEL_BACKEND = "blas-f64"

@@ -26,6 +26,7 @@ __all__ = [
     "SplitSheaf",
     "GradedSubspace",
     "GenericityError",
+    "AdditivityError",
     "BudgetExceededError",
     "CertificationError",
     "section_dim",
@@ -50,7 +51,11 @@ RETRY_CAP = 16
 
 
 class GenericityError(RuntimeError):
-    """No random hyperplane behaved generically within the retry cap."""
+    """No random hyperplane met the restriction bound within the retry cap."""
+
+
+class AdditivityError(RuntimeError):
+    """codim V = codim V^H + codim V_H failed: an identity for every hyperplane."""
 
 
 class BudgetExceededError(RuntimeError):
@@ -385,12 +390,16 @@ def restrict_to_hyperplane(
     """Restrict V to a random hyperplane and run the two exact checks.
 
     Draws a linear form with nonzero last coordinate from the seeded
-    generator.  A draw is accepted when the additivity identity
-    codim V = codim V^H + codim V_H holds and the restriction stays within
-    lower_macaulay(codim V, degree); both are generic-hyperplane statements,
-    so a failing draw is treated as degenerate and redrawn, up to a cap of
-    16 attempts.  Exhausting the cap raises GenericityError, which signals
-    either a bad prime for this size of problem or an actual counterexample.
+    generator.  The additivity identity codim V = codim V^H + codim V_H holds
+    for every hyperplane H, by the exact sequence 0 -> S_{d-1} -> S_d ->
+    S_{H,d} -> 0, so a draw that breaks it raises AdditivityError at once.
+    The restriction bound codim V_H <= lower_macaulay(codim V, degree) is a
+    statement about a generic H (Green, LNM 1389, 1989).  codim V_H is
+    smallest at a generic H, so any draw that meets the bound certifies it,
+    while a draw that misses it may be special: such draws are redrawn, up
+    to a cap of 16 attempts.  Exhausting the cap raises GenericityError,
+    with the smallest codim V_H seen; it signals either a prime too small
+    for this size of problem or an actual counterexample.
     """
     ctx = v.context
     if ctx.N < 1:
@@ -401,17 +410,24 @@ def restrict_to_hyperplane(
         raise ValueError("the restriction bound needs a regular sheaf (all twists >= 0)")
     rng = seed if isinstance(seed, np.random.Generator) else _seeded_rng(seed)
     nv = ctx.N + 1
-    last = None
+    where = f"N={ctx.N}, p={ctx.p}, degree={v.degree}, codim={v.codim}"
+    missed = []
     for attempt in range(1, RETRY_CAP + 1):
         lam = rng.integers(0, ctx.p, size=nv).astype(np.int64)
         lam[nv - 1] = int(rng.integers(1, ctx.p))
-        last = _restrict_once(v, lam)
-        if last.additivity_holds and last.restriction_bound_holds:
-            return replace(last, attempts=attempt)
-        # degenerate draw for a generic-hyperplane statement; redraw
+        res = _restrict_once(v, lam)
+        if not res.additivity_holds:
+            raise AdditivityError(
+                f"codim V != codim V^H + codim V_H ({res.codim} != "
+                f"{res.codim_preimage} + {res.codim_h}) for the linear form "
+                f"{res.linear_form} ({where})"
+            )
+        if res.restriction_bound_holds:
+            return replace(res, attempts=attempt)
+        missed.append(res.codim_h)
     raise GenericityError(
-        f"no generic hyperplane found in {RETRY_CAP} draws "
-        f"(N={ctx.N}, p={ctx.p}, degree={v.degree}, codim={last.codim})"
+        f"no hyperplane met the restriction bound {res.bound} in {RETRY_CAP} draws; "
+        f"smallest codim_h = {min(missed)} ({where})"
     )
 
 
@@ -420,17 +436,31 @@ def _seeded_rng(seed: int) -> np.random.Generator:
 
 
 def _evaluate_at_points(
-    basis: np.ndarray, exps: tuple[tuple[int, ...], ...], pts: np.ndarray, p: int
+    basis: np.ndarray, degree: int, pts: np.ndarray, p: int
 ) -> np.ndarray:
-    """Values of each basis row at each point, as a (points x rows) matrix."""
-    vals = np.empty((pts.shape[0], len(exps)), dtype=np.int64)
-    for j, e in enumerate(exps):
-        col = np.ones(pts.shape[0], dtype=np.int64)
-        for i, ei in enumerate(e):
-            for _ in range(ei):
-                col = col * pts[:, i] % p
-        vals[:, j] = col
-    return modp.matmul_mod(vals, np.ascontiguousarray(basis.T), p)
+    """Values of each basis row at each point, as a (rows x points) matrix.
+
+    `pts` holds one coordinate per row (coordinates x points).  The values of
+    the monomials of each degree are built from those one degree lower, at
+    one modular multiply per monomial; the top degree is written straight
+    into float64 for the product with the basis.
+    """
+    nv = pts.shape[0]
+    vals = np.ones((1, pts.shape[1]), dtype=np.int64)
+    for d in range(1, degree + 1):
+        lower = monomial_index(nv, d - 1)
+        var = []
+        src = []
+        for e in monomials(nv, d):
+            i = next(i for i, ei in enumerate(e) if ei)
+            var.append(i)
+            src.append(lower[e[:i] + (e[i] - 1,) + e[i + 1 :]])
+        prod = vals[src]
+        prod *= pts[var]
+        vals = np.empty(prod.shape, dtype=np.float64 if d == degree else np.int64)
+        np.remainder(prod, p, out=vals)
+        del prod
+    return modp._dot(basis, vals, p)
 
 
 def is_basepoint_free(
@@ -458,20 +488,20 @@ def is_basepoint_free(
     total_points = (p ** nv - 1) // (p - 1)
     if total_points > scan_limit:
         return "inconclusive"
-    exps = monomials(nv, v.degree + v.sheaf.twists[0])
+    degree = v.degree + v.sheaf.twists[0]
     chunk = 65536
     for lead in range(nv):
         span = p ** (nv - 1 - lead)
         for start in range(0, span, chunk):
             idx = np.arange(start, min(start + chunk, span), dtype=np.int64)
-            pts = np.zeros((idx.size, nv), dtype=np.int64)
-            pts[:, lead] = 1
+            pts = np.zeros((nv, idx.size), dtype=np.int64)
+            pts[lead] = 1
             rem = idx
             for j in range(nv - 1, lead, -1):
-                pts[:, j] = rem % p
+                pts[j] = rem % p
                 rem = rem // p
-            vals = _evaluate_at_points(v.basis, exps, pts, p)
-            if np.any(np.all(vals == 0, axis=1)):
+            vals = _evaluate_at_points(v.basis, degree, pts, p)
+            if not np.all(vals.any(axis=0)):
                 return "not_free"
     # no rational base point; there may still be one over an extension field
     return "inconclusive"

@@ -1,9 +1,14 @@
-"""Exact dense linear algebra over a prime field F_p.
+"""Exact dense linear algebra over a prime field F_p, for every prime p < 2**31.
 
-All matrices are numpy int64 arrays with entries reduced into [0, p).  Row
-reduction is one numpy kernel, vectorized over rows; every intermediate
-product stays below p**2 < 2**62, so every result here is exact for each
-prime p < 2**31.
+All matrices are numpy int64 arrays with entries reduced into [0, p).  The
+exactness rule: floating point only ever carries integers below 2**53.  Each
+product of a (m x k) by a (k x n) matrix picks its arithmetic by
+k * (p - 1)**2, the largest dot product it can form: float64 BLAS below
+2**53, int64 below 2**62, Python integers above.  Row reduction eliminates
+blocks of rows with float64 products where every product it forms is below
+2**53, and finishes each block, each small matrix and every other case
+column by column in int64, where every intermediate stays below
+p**2 < 2**62.
 """
 
 from __future__ import annotations
@@ -53,10 +58,46 @@ def asmod(mat: np.ndarray, p: int) -> np.ndarray:
     return a
 
 
-def _rref_inplace(a: np.ndarray, p: int) -> int:
-    """Reduce `a` to reduced row echelon form mod p and return its rank.
+# Delayed reduction on float64 BLAS (Dumas, Giorgi and Pernet, ACM TOMS 35(3),
+# 2008): a dot product of k terms below p, each product at most (p - 1)**2,
+# is an integer below 2**53 -- so float64 holds it exactly, whatever order
+# BLAS sums in -- while k * (p - 1)**2 < 2**53.
+_F64_EXACT = 2**53
+_I64_EXACT = 2**62
+# rows eliminated per block of `_rref_inplace`
+_BLOCK = 64
 
-    `a` is a C-contiguous int64 array with entries in [0, p).
+
+def _dot(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
+    """(a @ b) % p as int64, for int64 or float64 `a`, `b` holding integers in [0, p).
+
+    Uses float64 BLAS while k * (p - 1)**2 < 2**53 for the inner dimension k,
+    int64 `@` while it is below 2**62, Python integers otherwise.
+    """
+    k = a.shape[1]
+    if k == 0:
+        return np.zeros((a.shape[0], b.shape[1]), dtype=np.int64)
+    bound = k * (p - 1) * (p - 1)
+    if bound < _F64_EXACT:
+        prod = a.astype(np.float64, copy=False) @ b.astype(np.float64, copy=False)
+        out = prod.astype(np.int64)
+        del prod
+        np.remainder(out, p, out=out)
+        return out
+    a = a.astype(np.int64, copy=False)
+    b = b.astype(np.int64, copy=False)
+    if bound < _I64_EXACT:
+        out = a @ b
+        np.remainder(out, p, out=out)
+        return out
+    return (a.astype(object) @ b.astype(object) % p).astype(np.int64)
+
+
+def _eliminate(a: np.ndarray, p: int) -> int:
+    """Column-by-column Gauss-Jordan elimination of `a` in place; returns the rank.
+
+    `a` is a C-contiguous int64 array with entries in [0, p).  Products stay
+    below p**2 < 2**62, so this is exact for every p < 2**31.
     """
     m, n = a.shape
     r = 0
@@ -75,9 +116,61 @@ def _rref_inplace(a: np.ndarray, p: int) -> int:
         rows = np.nonzero(a[:, c])[0]
         rows = rows[rows != r]
         if rows.size:
-            # products stay below p**2 < 2**62, safe in int64
             a[rows, c:] = (a[rows, c:] - np.outer(a[rows, c], a[r, c:])) % p
         r += 1
+    return r
+
+
+def _rref_inplace(a: np.ndarray, p: int) -> int:
+    """Reduce `a` to reduced row echelon form mod p and return its rank.
+
+    `a` is a C-contiguous int64 array with entries in [0, p).  Rows are
+    taken in blocks of `_BLOCK`: each block is reduced against the basis
+    found so far with one product, its residual is eliminated column by
+    column on the columns where it is nonzero, and the new pivots are
+    back-substituted into the basis rows that meet them.  The basis is kept
+    in the leading rows of `a` and sorted by pivot at the end.  RREF is
+    canonical, so the result is the one column-by-column elimination gives.
+    Every product here has inner dimension at most min(m, n); small
+    matrices, and sizes and primes where such a product would not be exact
+    in float64, take that elimination directly.
+    """
+    m, n = a.shape
+    if m <= _BLOCK or min(m, n) * (p - 1) * (p - 1) >= _F64_EXACT:
+        return _eliminate(a, p)
+    piv = np.empty(0, dtype=np.int64)
+    r = 0
+    for s in range(0, m, _BLOCK):
+        if r == n:
+            break
+        blk = a[s : s + _BLOCK].copy()
+        if r:
+            hit = np.flatnonzero(blk[:, piv].any(axis=0))
+            if hit.size:
+                blk -= _dot(blk[:, piv[hit]], a[hit], p)
+                np.remainder(blk, p, out=blk)
+        cols = np.flatnonzero(blk.any(axis=0))
+        if cols.size == 0:
+            continue
+        res = np.ascontiguousarray(blk[:, cols])
+        rb = _eliminate(res, p)
+        if rb == 0:
+            continue
+        res = res[:rb]
+        new_piv = cols[np.argmax(res != 0, axis=1)]
+        if r:
+            meet = np.flatnonzero(a[:r, new_piv].any(axis=1))
+            if meet.size:
+                met = a[meet]
+                upd = met[:, cols] - _dot(met[:, new_piv], res, p)
+                np.remainder(upd, p, out=upd)
+                a[np.ix_(meet, cols)] = upd
+        a[r : r + rb] = 0
+        a[r : r + rb, cols] = res
+        piv = np.concatenate([piv, new_piv])
+        r += rb
+    a[:r] = a[np.argsort(piv)]
+    a[r:] = 0
     return r
 
 
@@ -116,7 +209,7 @@ def reduce_rows(basis: np.ndarray, vectors: np.ndarray, p: int) -> np.ndarray:
     if basis.shape[0] == 0 or w.shape[0] == 0:
         return w
     piv = pivot_columns(basis)
-    w -= matmul_mod(w[:, piv], basis, p)
+    w -= _dot(w[:, piv], basis, p)
     np.remainder(w, p, out=w)
     return w
 
@@ -141,17 +234,5 @@ def left_nullspace(mat: np.ndarray, p: int) -> np.ndarray:
 
 
 def matmul_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
-    """(a @ b) % p without int64 overflow.
-
-    For the usual small primes the accumulated dot products fit directly; for
-    primes near the 2**31 cap the computation falls back to Python integers.
-    """
-    a = asmod(a, p)
-    b = asmod(b, p)
-    inner = a.shape[1]
-    if inner == 0:
-        return np.zeros((a.shape[0], b.shape[1]), dtype=np.int64)
-    if (p - 1) * (p - 1) * inner < 2**62:
-        return (a @ b) % p
-    prod = a.astype(object) @ b.astype(object) % p
-    return prod.astype(np.int64)
+    """(a @ b) % p, exact for every p < 2**31 (see `_dot`)."""
+    return _dot(asmod(a, p), asmod(b, p), p)

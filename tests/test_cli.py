@@ -1,7 +1,15 @@
 """CLI behaviour: output formats, exit codes, environment overrides."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
 import pytest
 
+import nlgotz
+from nlgotz import graded
 from nlgotz import verify as verify_mod
 from nlgotz.catalog import loads_catalog
 from nlgotz.cli import main
@@ -168,6 +176,38 @@ def test_verify_rejects_sizes_that_check_nothing(args, capsys):
     captured = capsys.readouterr()
     assert captured.err.startswith("error: ")
     assert "checks passed" not in captured.out
+
+
+def test_verify_koszul_reports_an_uncertified_witness(capsys):
+    # one multiplication step cannot saturate the drop-mixed witnesses
+    assert main(["verify", "koszul", "--t-max", "1"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "failed to certify" in err
+
+
+def test_verify_reports_a_failed_identity_as_a_violation(monkeypatch, capsys):
+    def zero_map(context, sheaf, degree, lam):
+        n_src = graded.section_dim(sheaf, degree - 1, context)
+        return np.zeros((n_src, graded.section_dim(sheaf, degree, context)), dtype=np.int64)
+
+    monkeypatch.setattr(graded, "_linear_form_matrix", zero_map)
+    assert main(["verify", "restriction", "--trials", "2", "--format", "csv"]) == 4
+    rows = capsys.readouterr().out.splitlines()[1:]
+    assert len(rows) == 2
+    assert all("error=codim V != codim V" in row for row in rows)
+
+
+def test_module_entry_point():
+    env = dict(os.environ, PYTHONPATH=str(Path(nlgotz.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "nlgotz", "--help"],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=60,
+    )
+    assert proc.returncode == 0
+    assert proc.stdout.startswith("usage: nlgotz")
 
 
 def test_verify_rejects_unknown_suite(capsys):

@@ -5,10 +5,15 @@ and sympy ranks from tests/oracles.py, which share no code with the
 package's scatter-matrix machinery.
 """
 
+import math
+
 import numpy as np
 import pytest
 
+from nlgotz import graded
 from nlgotz.graded import (
+    RETRY_CAP,
+    AdditivityError,
     BudgetExceededError,
     CertificationError,
     GenericityError,
@@ -258,6 +263,41 @@ def test_restriction_preconditions():
         restrict_to_hyperplane(full_space(ctx, SplitSheaf((-2,)), 3), seed=0)
 
 
+def test_restriction_redraws_a_missed_bound_up_to_the_cap(monkeypatch):
+    # a bound no hyperplane meets: every draw is redrawn until the cap
+    monkeypatch.setattr(graded, "lower_macaulay", lambda c, d: -1)
+    seen = []
+    real = graded._restrict_once
+
+    def spy(v, lam):
+        res = real(v, lam)
+        seen.append(res.codim_h)
+        return res
+
+    monkeypatch.setattr(graded, "_restrict_once", spy)
+    v = lex_segment_subspace(5, 2, RingContext(3, P))
+    with pytest.raises(GenericityError) as info:
+        restrict_to_hyperplane(v, seed=1)
+    assert len(seen) == RETRY_CAP
+    assert f"smallest codim_h = {min(seen)} " in str(info.value)
+
+
+def test_restriction_raises_at_once_when_additivity_fails(monkeypatch):
+    # a wrong multiplication map breaks the identity for every hyperplane
+    calls = []
+
+    def zero_map(context, sheaf, degree, lam):
+        calls.append(lam)
+        n_src = section_dim(sheaf, degree - 1, context)
+        return np.zeros((n_src, section_dim(sheaf, degree, context)), dtype=np.int64)
+
+    monkeypatch.setattr(graded, "_linear_form_matrix", zero_map)
+    v = lex_segment_subspace(5, 2, RingContext(3, P))
+    with pytest.raises(AdditivityError, match="codim V != codim V"):
+        restrict_to_hyperplane(v, seed=1)
+    assert len(calls) == 1
+
+
 def test_basepoint_free_verdicts():
     ctx = RingContext(2, P)
     sheaf = SplitSheaf((0,))
@@ -273,6 +313,28 @@ def test_basepoint_free_verdicts():
     assert is_basepoint_free(_squares(ctx)) == "free"
     # dropping the least monomial of the conics leaves the base point (0:0:1)
     assert is_basepoint_free(lex_segment_subspace(1, 2, ctx)) == "not_free"
+
+
+def test_point_values_match_direct_evaluation():
+    # cubics on P^3 (a twisted quadric system), at seeded points
+    ctx = RingContext(3, P)
+    rng = np.random.default_rng(9)
+    v = random_subspace(ctx, SplitSheaf((1,)), 2, rng, dim=6)
+    pts = rng.integers(0, P, size=(4, 40)).astype(np.int64)
+    got = graded._evaluate_at_points(v.basis, 3, pts, P)
+    want = []
+    for row in v.basis:
+        want.append(
+            [
+                sum(
+                    int(c) * math.prod(int(x) ** k for x, k in zip(pts[:, j], e))
+                    for c, e in zip(row, monomials(4, 3))
+                )
+                % P
+                for j in range(pts.shape[1])
+            ]
+        )
+    assert got.tolist() == want
 
 
 def test_basepoint_free_inconclusive_paths():

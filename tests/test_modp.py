@@ -2,11 +2,15 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from nlgotz import modp
 
 from oracles import gfp_rank
 
+# 2147483647 fits no float64 product ((p - 1)**2 > 2**53), so it is
+# eliminated column by column at every size
 PRIMES = (2, 3, 7, 101, 32003, 2147483647)
 
 
@@ -20,6 +24,13 @@ def _random_matrices():
         base = rng.integers(0, p, size=(4, 9)).astype(np.int64)
         stacked = np.vstack([base, base * 2 % p, base[::-1]])
         yield p, stacked
+        # past one block of the elimination (64 rows): dense square, tall
+        # with 1.5% nonzeros, and rank-deficient stacked
+        yield p, rng.integers(0, p, size=(100, 100)).astype(np.int64)
+        sparse = rng.integers(1, p, size=(300, 120)) * (rng.random((300, 120)) < 0.015)
+        yield p, sparse.astype(np.int64)
+        base = rng.integers(0, p, size=(40, 60)).astype(np.int64)
+        yield p, np.vstack([base, base[::-1] * 3 % p, (base[:20] + base[20:]) % p, base])
 
 
 def test_rank_matches_sympy():
@@ -95,6 +106,47 @@ def test_matmul_mod_big_prime_fallback():
         dtype=np.int64,
     )
     assert np.array_equal(got, want)
+
+
+# Each side of the float64 limit k * (p - 1)**2 < 2**53: k = 2 | 3 at
+# 67108859, 1 | 2 at 94906249, and none at 94906297.  Then each side of the
+# int64 limit k * (p - 1)**2 < 2**62: k = 511 | 512 at 94906297, 3 | 4 at
+# 1073741827 and 1 | 2 at 2147483647.
+THRESHOLD_PRIMES = (101, 67108859, 94906249, 94906297, 1073741827, 2147483647)
+
+
+@settings(derandomize=True, database=None, max_examples=80, deadline=None)
+@given(
+    p=st.sampled_from(THRESHOLD_PRIMES),
+    m=st.integers(1, 4),
+    k=st.one_of(st.integers(1, 8), st.integers(500, 530)),
+    n=st.integers(1, 4),
+    seed=st.integers(0, 2**32 - 1),
+    top=st.sampled_from((0, 1, 2)),
+)
+@example(p=67108859, m=2, k=2, n=2, seed=0, top=2)
+@example(p=67108859, m=2, k=3, n=2, seed=0, top=2)
+@example(p=94906249, m=2, k=1, n=2, seed=0, top=2)
+@example(p=94906249, m=2, k=2, n=2, seed=0, top=2)
+@example(p=2147483647, m=2, k=1, n=2, seed=0, top=1)
+@example(p=2147483647, m=2, k=2, n=2, seed=0, top=1)
+@example(p=94906297, m=2, k=511, n=2, seed=0, top=1)
+@example(p=94906297, m=2, k=512, n=2, seed=0, top=1)
+def test_products_agree_with_python_integers(p, m, k, n, seed, top):
+    if top:
+        # every entry p - top: p - 1 makes every term its largest, (p - 1)**2;
+        # p - 2 makes it odd, and float64 cannot hold an odd sum past 2**53
+        a = np.full((m, k), p - top, dtype=np.int64)
+        b = np.full((k, n), p - top, dtype=np.int64)
+    else:
+        rng = np.random.default_rng(seed)
+        a = rng.integers(0, p, size=(m, k)).astype(np.int64)
+        b = rng.integers(0, p, size=(k, n)).astype(np.int64)
+    want = (a.astype(object) @ b.astype(object) % p).astype(np.int64)
+    assert np.array_equal(modp.matmul_mod(a, b, p), want)
+    assert np.array_equal(modp._dot(a, b, p), want)
+    # the point scan passes its monomial values as float64
+    assert np.array_equal(modp._dot(a, b.astype(np.float64), p), want)
 
 
 def test_matmul_mod_empty_inner():
