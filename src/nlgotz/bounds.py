@@ -304,6 +304,31 @@ def ein_lazarsfeld_floor(inv: ThreefoldInvariants, spec: BundleSpec) -> int:
     return spec.d - 5
 
 
+def _extra_twist(inv: ThreefoldInvariants) -> int:
+    """1 for linear P^2-bundles, whose chain runs through one extra twist.
+
+    The degenerate adjunction needs K_Y(4) in place of K_Y(3).
+    """
+    return 1 if inv.is_linear_p2_bundle else 0
+
+
+def _growth_step(
+    inv: ThreefoldInvariants, spec: BundleSpec, c_hyp: int
+) -> tuple[int, int, int, bool]:
+    """(n, slack e, slack sum, hypothesis met) of the chain's growth step.
+
+    n counts the regular twists at the chain's degree, which the extra twist
+    raises by one; the slack is b for b >= 2 and 0 for b = 1; the hypothesis
+    is 0 <= e <= n + 1 and c_hyp below the slack sum.
+    """
+    minus = spec.variant == "minus_d_regular"
+    a, b = (inv.alpha, inv.beta) if minus else (inv.a_adj, inv.b_adj)
+    n = n_of(spec.d + _extra_twist(inv), a, b)
+    slack = b if b >= 2 else 0
+    slack_sum = growth_slack_sum(n, slack)
+    return n, slack, slack_sum, 0 <= slack <= n + 1 and c_hyp < slack_sum
+
+
 @dataclass(frozen=True)
 class ContradictionTrace:
     """Numerical replay of the bound argument for a hypothetical component."""
@@ -328,9 +353,11 @@ def contradiction_trace(
     The chain: restrict to a surface section (codimension stays c_hyp), push
     into the n-th regular twist, grow by the Macaulay bound with the branch
     slack, and check the result undercuts the Ein-Lazarsfeld floor, which is
-    the contradiction establishing F.  For linear P^2-bundles the chain runs
-    through one extra twist (the degenerate adjunction needs K_Y(4) in place
-    of K_Y(3)), which shifts n and the pencil floor by one.
+    the contradiction establishing F.  Each number comes from the formula
+    that defines it: n, the slack and the slack sum from `_growth_step`, and
+    the pencil floor from `ein_lazarsfeld_floor`, one lower for linear
+    P^2-bundles (the quadric route keeps d - 5, the floor of its degenerate
+    adjoint argument).
     """
     res = nl_codim_floor(inv, spec)
     if res.status != "floor":
@@ -341,35 +368,23 @@ def contradiction_trace(
         raise ValueError(
             f"c_hyp = {c_hyp} is not below the floor {res.floor_value}; nothing to refute"
         )
-    minus = spec.variant == "minus_d_regular"
-    a, b = (inv.alpha, inv.beta) if minus else (inv.a_adj, inv.b_adj)
-    d = spec.d
-    twist = 4 if inv.is_linear_p2_bundle else 3
-    n_chain = (d + twist - a) // b - 4
-    quadric_route = res.branch == "quadric-special"
-    if quadric_route:
-        el = d - 5
-    elif minus:
-        el = d - 5 + inv.alpha - inv.beta - (twist - 3)
+    n_chain, slack, slack_sum, slack_ok = _growth_step(inv, spec, c_hyp)
+    if res.branch == "quadric-special":
+        el = spec.d - 5
     else:
-        el = d - 5 - (twist - 3)
-    slack = b if b >= 2 else 0
-    slack_sum = growth_slack_sum(n_chain, slack)
+        el = ein_lazarsfeld_floor(inv, spec) - _extra_twist(inv)
 
     steps = [
         HypothesisCheck("floor_exists", True, f"floor {res.floor_value} on {res.branch}"),
         HypothesisCheck(
             "component_below_floor", True, f"c_hyp = {c_hyp} <= {res.floor_value} - 1"
         ),
-    ]
-    slack_ok = 0 <= slack <= n_chain + 1 and c_hyp < slack_sum
-    steps.append(
         HypothesisCheck(
             "growth_slack_hypothesis",
             slack_ok,
             f"slack e = {slack}, c_hyp = {c_hyp} < {slack_sum} with n = {n_chain}",
-        )
-    )
+        ),
+    ]
     upper: Optional[int] = None
     if c_hyp == 0:
         upper = 0

@@ -11,7 +11,6 @@ import argparse
 import csv
 import os
 import sys
-from dataclasses import dataclass
 
 from .bounds import BundleSpec, ThreefoldInvariants, contradiction_trace, nl_codim_floor
 from .bounds import blowup_ampleness
@@ -31,14 +30,6 @@ _ENV_SEED = "NLGOTZ_SEED"
 _ENV_PRIME = "NLGOTZ_PRIME"
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    command: str
-    seed: int
-    prime: int
-    fmt: str
-
-
 def _env_int(name: str, fallback: int) -> int:
     raw = os.environ.get(name)
     if raw is None:
@@ -47,17 +38,6 @@ def _env_int(name: str, fallback: int) -> int:
         return int(raw, 10)
     except ValueError:
         raise ValueError(f"environment variable {name} must be an integer, got {raw!r}") from None
-
-
-def _run_config(args) -> RunConfig:
-    seed = getattr(args, "seed", None)
-    prime = getattr(args, "prime", None)
-    return RunConfig(
-        command=args.command,
-        seed=seed if seed is not None else _env_int(_ENV_SEED, DEFAULT_SEED),
-        prime=prime if prime is not None else _env_int(_ENV_PRIME, DEFAULT_PRIME),
-        fmt=getattr(args, "format", "table"),
-    )
 
 
 def _parser() -> argparse.ArgumentParser:
@@ -264,10 +244,9 @@ def _write_rows(reports, fmt, out) -> None:
 
 
 def cmd_verify(args, out) -> int:
-    rc = _run_config(args)
     cfg = VerifyConfig(
-        seed=rc.seed,
-        prime=rc.prime,
+        seed=args.seed if args.seed is not None else _env_int(_ENV_SEED, DEFAULT_SEED),
+        prime=args.prime if args.prime is not None else _env_int(_ENV_PRIME, DEFAULT_PRIME),
         trials=args.trials,
         c_max=args.cmax,
         d_max=args.dmax,

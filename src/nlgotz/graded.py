@@ -11,7 +11,6 @@ certificates, and middle exactness of Koszul complexes.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 from itertools import combinations
 
@@ -273,52 +272,39 @@ def check_macaulay_gotzmann(v: GradedSubspace) -> GotzmannCheck:
     return GotzmannCheck(codim=c, codim_next=w.codim, bound=bound, holds=w.codim <= bound)
 
 
-def _compositions(total: int, parts: int):
-    """All tuples of `parts` nonnegative integers summing to `total`."""
-    if parts == 1:
-        yield (total,)
-        return
-    for head in range(total, -1, -1):
-        for tail in _compositions(total - head, parts - 1):
-            yield (head,) + tail
-
-
 def _substitution_matrix(
     context: RingContext, sheaf: SplitSheaf, degree: int, lam: np.ndarray
 ) -> np.ndarray:
     """Matrix of the restriction map H^0(M(degree)) -> H^0(M_H(degree)).
 
     The hyperplane H = {lam . x = 0} has lam[N] != 0, so restriction is the
-    substitution x_N -> -(lam_0 x_0 + ... + lam_{N-1} x_{N-1}) / lam_N into
-    the remaining variables.
+    ring map x_i -> y_i for i < N and x_N -> mu . y, with
+    mu = -(lam_0, ..., lam_{N-1}) / lam_N, into the remaining variables.
+    Being multiplicative, it is built one degree at a time: for each x_i,
+    the images of the degree-m monomials x^e x_i are the degree-(m - 1)
+    images of x^e times the image of x_i, a multiplication map on P^{N-1}.
+    Each summand's block is the map at its own degree.
     """
     p = context.p
     nv = context.N + 1
-    q = nv - 1
-    mu = [(-int(lam[i]) * pow(int(lam[nv - 1]), -1, p)) % p for i in range(q)]
-    src, n_src = _layout(context, sheaf, degree)
     ctx_h = RingContext(context.N - 1, p)
+    line = SplitSheaf((0,))
+    mu = (-lam[: nv - 1] * pow(int(lam[nv - 1]), -1, p)) % p
+    forms = list(np.eye(nv - 1, dtype=np.int64)) + [mu]
+    src, n_src = _layout(context, sheaf, degree)
     tgt, n_tgt = _layout(ctx_h, sheaf, degree)
+    images = [np.ones((1, 1), dtype=np.int64)]
+    for m in range(1, max(block[1] for block in src) + 1):
+        image = np.empty((dim_degree(nv, m), dim_degree(nv - 1, m)), dtype=np.int64)
+        for i, form in enumerate(forms):
+            image[shift_table(nv, m - 1, unit_exponent(nv, i))] = modp.matmul_mod(
+                images[m - 1], _linear_form_matrix(ctx_h, line, m, form), p
+            )
+        images.append(image)
     s = np.zeros((n_src, n_tgt), dtype=np.int64)
-    for (a, m, dim, off), (_, _, tdim, toff) in zip(src, tgt):
-        if dim == 0:
-            continue
-        tgt_idx = monomial_index(q, m)
-        for js, e in enumerate(monomials(nv, m)):
-            t = e[q]
-            base = e[:q]
-            fact = math.factorial(t)
-            for gamma in _compositions(t, q):
-                coeff = fact
-                for gi in gamma:
-                    coeff //= math.factorial(gi)
-                coeff %= p
-                for i, gi in enumerate(gamma):
-                    for _ in range(gi):
-                        coeff = coeff * mu[i] % p
-                texp = tuple(b + g for b, g in zip(base, gamma))
-                col = toff + tgt_idx[texp]
-                s[off + js, col] = (s[off + js, col] + coeff) % p
+    for (_, m, dim, off), (_, _, tdim, toff) in zip(src, tgt):
+        if dim:
+            s[off : off + dim, toff : toff + tdim] = images[m]
     return s
 
 

@@ -12,11 +12,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import graded
+from . import graded, modp
 from .bounds import (
     BundleSpec,
+    ThreefoldInvariants,
+    _floor_formula,
+    _growth_step,
     contradiction_trace,
-    n_of,
     nl_codim_floor,
     threshold_value,
 )
@@ -91,6 +93,9 @@ class VerifyConfig:
             value = getattr(self, name)
             if value < least:
                 raise ValueError(f"{name} must be at least {least}, got {value}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be nonnegative, got {self.seed}")
+        modp.check_prime(self.prime)
 
 
 @dataclass(frozen=True)
@@ -325,39 +330,41 @@ def _threshold_grid_rows(report: SuiteReport, t0: int, cfg: VerifyConfig) -> int
     """Grids certifying the slack hypothesis above each degree threshold.
 
     For each branch, the largest hypothetical codimension (floor - 1) must
-    stay strictly below the triangular slack sum at n(d).  The sum gains
-    b + 1 every b degrees while the floor gains 1 per degree, so the margin
-    trends upward and any failure lives near the threshold; a 40-degree
-    window is several full periods for every b here.
+    stay strictly below the triangular slack sum at n(d).  The floor and the
+    growth step come from the functions `nl_codim_floor` and
+    `contradiction_trace` evaluate them with, so the grid certifies the
+    evaluator's own formulas.  The sum gains b + 1 every b degrees while the
+    floor gains 1 per degree, so the margin trends upward and any failure
+    lives near the threshold; a 40-degree window is several full periods for
+    every b here.
     """
     window = 40
     t = t0
-    cases = []
-    # non-bundle chains run through one very ample canonical twist: a <= 3
-    for a in range(0, 4):
-        for b in range(2, 9):
-            cases.append(("T2_general", a, b, lambda d, a=a, b=b: (d - 6 - b, n_of(d, a, b))))
-    for a in range(1, 4):
-        for b in range(2, 9):
-            cases.append(("T1", a, b, lambda d, a=a, b=b: (d - 6 + a - 2 * b, n_of(d, a, b))))
-    # bundle chains need the extra twist, shifting n to floor(d / b) - 4
+    # non-bundle chains run through one very ample canonical twist: a <= 3;
+    # bundle chains (a = 4) need the extra twist
+    cases = [("T2_general", a, b) for a in range(0, 4) for b in range(2, 9)]
+    cases += [("T1", a, b) for a in range(1, 4) for b in range(2, 9)]
     for b in range(2, 9):
-        cases.append(("T1_bundle", 4, b, lambda d, b=b: (d - 3 - 2 * b, n_of(d, 3, b))))
-        cases.append(
-            ("T2_p2bundle", 4, b, lambda d, b=b: (d - 7 - b, n_of(d, 3, b)))
+        cases += [("T1_bundle", 4, b), ("T2_p2bundle", 4, b)]
+    for kind, a, b in cases:
+        minus = kind.startswith("T1")
+        variant = "minus_d_regular" if minus else "adjoint"
+        bundle = a == 4
+        inv = ThreefoldInvariants(
+            kind, alpha=max(a, 1), beta=b, a_adj=a, b_adj=b, is_linear_p2_bundle=bundle
         )
-    for kind, a, b, forms in cases:
-        thr_kind = kind.replace("_bundle", "") if kind.startswith("T1") else kind
-        thr = threshold_value(thr_kind, b)
+        thr = threshold_value("T1" if minus else kind, b)
         worst = None
         ok = True
         for d in range(thr, thr + window + 1):
-            lhs, n = forms(d)
-            slack_sum = growth_slack_sum(n, b)
-            margin = slack_sum - 1 - lhs
+            floor = _floor_formula(variant, bundle, d, a, b)
+            _, _, slack_sum, holds = _growth_step(
+                inv, BundleSpec(variant, d, "known_zero"), floor - 1
+            )
+            margin = slack_sum - floor
             if worst is None or margin < worst:
                 worst = margin
-            if not (0 <= b <= n + 1 and lhs < slack_sum):
+            if not holds:
                 ok = False
         report.rows.append(
             TrialRow(

@@ -1,10 +1,10 @@
 """Independent recomputation paths used to pin down expected values.
 
 Nothing in this module imports from nlgotz.  Binomials come from the
-Pascal recurrence, expansions from exhaustive search, matrix ranks from
-sympy's exact GF(p) arithmetic, and polynomial images from dict-based
-exponent bookkeeping.  Tests compare package output against these slower
-but independently derived answers.
+Pascal recurrence, expansions from exhaustive search, matrix ranks and
+reduced echelon forms from sympy's exact GF(p) arithmetic, and polynomial
+images from dict-based exponent bookkeeping.  Tests compare package output
+against these slower but independently derived answers.
 """
 
 from __future__ import annotations
@@ -73,15 +73,29 @@ def all_decompositions(c: int, d: int) -> list[tuple[int, ...]]:
     return search(c, d, c + d)
 
 
-def gfp_rank(rows, p: int) -> int:
-    """Rank over GF(p) via sympy's exact domain matrices."""
+def _domain_rref(rows, p: int):
+    """sympy's exact GF(p) row reduction: (reduced matrix, pivots), or None if empty."""
     rows = [[int(x) for x in row] for row in rows]
     if not rows or not rows[0]:
-        return 0
+        return None
     K = GF(p)
     dm = DomainMatrix([[K(x) for x in row] for row in rows], (len(rows), len(rows[0])), K)
-    _, pivots = dm.rref()
-    return len(pivots)
+    return dm.rref()
+
+
+def gfp_rank(rows, p: int) -> int:
+    """Rank over GF(p) via sympy's exact domain matrices."""
+    reduced = _domain_rref(rows, p)
+    return 0 if reduced is None else len(reduced[1])
+
+
+def gfp_rref(rows, p: int) -> list[list[int]]:
+    """Nonzero rows of the reduced row echelon form over GF(p), entries in [0, p)."""
+    reduced = _domain_rref(rows, p)
+    if reduced is None:
+        return []
+    red, pivots = reduced
+    return [[int(x) % p for x in row] for row in red.to_Matrix().tolist()[: len(pivots)]]
 
 
 # -- dict polynomials: {exponent tuple: coefficient}, vectors are tuples of

@@ -1,5 +1,6 @@
 """CLI behaviour: output formats, exit codes, environment overrides."""
 
+import hashlib
 import os
 import subprocess
 import sys
@@ -176,6 +177,33 @@ def test_verify_rejects_sizes_that_check_nothing(args, capsys):
     captured = capsys.readouterr()
     assert captured.err.startswith("error: ")
     assert "checks passed" not in captured.out
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["growth", "--prime", "4"],
+        ["thresholds", "--prime", "1"],
+        ["consistency", "--prime", "2147483648"],
+        ["growth", "--seed", "-1"],
+    ],
+)
+def test_verify_rejects_a_bad_prime_or_seed(args, capsys):
+    assert main(["verify", *args]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ")
+    assert "prime" in captured.err or "seed must be nonnegative" in captured.err
+    assert "checks passed" not in captured.out
+
+
+def test_verify_thresholds_csv_is_pinned(capsys):
+    # the thresholds report depends on neither the seed nor the prime
+    assert main(["verify", "thresholds", "--format", "csv"]) == 0
+    out = capsys.readouterr().out
+    assert len(out.splitlines()) == 67
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "b358f66c93b686636c74eb8ab8d9cce23dbf84c8ab9bb29542d61da597050cae"
+    )
 
 
 def test_verify_koszul_reports_an_uncertified_witness(capsys):

@@ -5,6 +5,7 @@ and sympy ranks from tests/oracles.py, which share no code with the
 package's scatter-matrix machinery.
 """
 
+import itertools
 import math
 
 import numpy as np
@@ -37,6 +38,7 @@ from nlgotz.macaulay import upper_macaulay
 from nlgotz.monomials import dim_degree, monomial_index, monomials
 
 from oracles import (
+    gfp_rref,
     substitute_last_variable,
     vector_times_var,
     vectors_rank,
@@ -215,32 +217,48 @@ def test_restriction_is_deterministic():
     assert a.v_preimage.basis.tolist() == b.v_preimage.basis.tolist()
 
 
+def _lex_monomials(num_vars, degree):
+    """Exponent tuples of one degree in descending lex, by brute force."""
+    grid = itertools.product(range(degree + 1), repeat=num_vars)
+    return sorted((e for e in grid if sum(e) == degree), reverse=True)
+
+
 def test_restriction_against_substitution_oracle():
-    ctx = RingContext(2, P)
-    rng = np.random.default_rng(17)
-    v = random_subspace(ctx, SplitSheaf((0,)), 2, rng, dim=3)
-    res = restrict_to_hyperplane(v, seed=5)
-    lam = res.linear_form
-    inv_last = pow(lam[2], -1, P)
-    mu = tuple((-lam[i] * inv_last) % P for i in range(2))
-    # independently substitute into each basis polynomial and take the rank
-    restricted = []
-    for (poly,) in _as_dict_vectors(v):
-        sub = substitute_last_variable(poly, mu, P)
-        restricted.append(({e[:2]: c for e, c in sub.items()},))
-    assert vectors_rank(restricted, P) == res.v_h.dim
-    # the preimage really multiplies into V under the form lam . x
-    v_rows = _as_dict_vectors(v)
-    base_rank = vectors_rank(v_rows, P)
-    assert base_rank == v.dim
-    for vec in _as_dict_vectors(res.v_preimage):
-        prod: dict = {}
-        for i in range(3):
-            shifted = vector_times_var(vec, i)[0]
-            for e, c in shifted.items():
-                prod[e] = (prod.get(e, 0) + lam[i] * c) % P
-        prod = {e: c for e, c in prod.items() if c}
-        assert vectors_rank(v_rows + [(prod,)], P) == base_rank
+    degree = 2
+    shapes = itertools.product((1, 2, 3, 4), ((0,), (0, 1), (0, 1, 2)), (2, 3, 101, 2147483647))
+    for N, twists, p in shapes:
+        ctx = RingContext(N, p)
+        sheaf = SplitSheaf(twists)
+        rng = np.random.default_rng(17)
+        v = random_subspace(ctx, sheaf, degree, rng, dim=section_dim(sheaf, degree, ctx) // 2)
+        res = restrict_to_hyperplane(v, seed=5)
+        lam = res.linear_form
+        inv_last = pow(lam[N], -1, p)
+        mu = tuple((-lam[i] * inv_last) % p for i in range(N))
+        # independently substitute into each basis polynomial; the columns are
+        # the monomials in x_0..x_{N-1}, one block per summand
+        cols = [(bi, e) for bi, a in enumerate(twists) for e in _lex_monomials(N, degree + a)]
+        index = {key: j for j, key in enumerate(cols)}
+        restricted = []
+        for vec in _as_dict_vectors(v):
+            row = [0] * len(cols)
+            for bi, poly in enumerate(vec):
+                for e, c in substitute_last_variable(poly, mu, p).items():
+                    row[index[(bi, e[:N])]] = c
+            restricted.append(row)
+        assert res.v_h.basis.tolist() == gfp_rref(restricted, p), (N, twists, p)
+        # the preimage really multiplies into V under the form lam . x
+        v_rows = _as_dict_vectors(v)
+        products = []
+        for vec in _as_dict_vectors(res.v_preimage):
+            prod = tuple({} for _ in twists)
+            for i in range(N + 1):
+                for bi, f in enumerate(vector_times_var(vec, i)):
+                    for e, c in f.items():
+                        prod[bi][e] = (prod[bi].get(e, 0) + lam[i] * c) % p
+            products.append(prod)
+        assert vectors_rank(v_rows, p) == v.dim, (N, twists, p)
+        assert vectors_rank(v_rows + products, p) == v.dim, (N, twists, p)
 
 
 def test_restriction_degree_one_bound_is_exact():
@@ -287,7 +305,8 @@ def test_restriction_raises_at_once_when_additivity_fails(monkeypatch):
     calls = []
 
     def zero_map(context, sheaf, degree, lam):
-        calls.append(lam)
+        if context.N == 3:  # one preimage map per draw; the rest build restriction maps
+            calls.append(lam)
         n_src = section_dim(sheaf, degree - 1, context)
         return np.zeros((n_src, section_dim(sheaf, degree, context)), dtype=np.int64)
 

@@ -123,6 +123,20 @@ def test_config_rejects_sizes_that_check_nothing(sizes):
         VerifyConfig(**sizes)
 
 
+@pytest.mark.parametrize(
+    "kwargs, message",
+    [
+        ({"prime": 4}, "not a prime"),
+        ({"prime": 1}, "not a prime"),
+        ({"prime": 2**31}, "not a prime"),
+        ({"seed": -1}, "seed must be nonnegative"),
+    ],
+)
+def test_config_rejects_a_bad_prime_or_seed(kwargs, message):
+    with pytest.raises(ValueError, match=message):
+        VerifyConfig(**kwargs)
+
+
 @pytest.mark.parametrize("kwargs", [{"d_max": 0}, {"records": ()}])
 def test_consistency_sweep_rejects_empty_sweeps(kwargs):
     with pytest.raises(ValueError, match="checks nothing"):
