@@ -153,18 +153,26 @@ def n_of(d: int, a: int, b: int) -> int:
     return (d + 3 - a) // b - 4
 
 
+def _twist_pair(inv: ThreefoldInvariants, spec: BundleSpec) -> tuple[int, int]:
+    """(a, b): (alpha, beta) for the (-d)-regular family, (a_adj, b_adj) for adjoint bundles."""
+    if spec.variant == "minus_d_regular":
+        return inv.alpha, inv.beta
+    return inv.a_adj, inv.b_adj
+
+
+def _h1_threshold(inv: ThreefoldInvariants, spec: BundleSpec) -> int:
+    """Least d forcing H^1 vanishing: 3(beta - alpha) + 13, or 2(b_adj - a_adj) + 13 if adjoint."""
+    a, b = _twist_pair(inv, spec)
+    return (3 if spec.variant == "minus_d_regular" else 2) * (b - a) + 13
+
+
 def vanishing_hypothesis_met(inv: ThreefoldInvariants, spec: BundleSpec) -> bool:
     """Whether H^1(Omega^2_Y x L) = 0 is available for the whole family.
 
     Either the caller knows it vanishes, or the degree clears the explicit
-    ampleness threshold: d >= 3 beta - 3 alpha + 13 for the (-d)-regular
-    family, d >= 2 b_adj - 2 a_adj + 13 for adjoint bundles.
+    ampleness threshold `_h1_threshold`.
     """
-    if spec.h1_vanishing == "known_zero":
-        return True
-    if spec.variant == "minus_d_regular":
-        return spec.d >= 3 * inv.beta - 3 * inv.alpha + 13
-    return spec.d >= 2 * inv.b_adj - 2 * inv.a_adj + 13
+    return spec.h1_vanishing == "known_zero" or spec.d >= _h1_threshold(inv, spec)
 
 
 _THRESHOLD_KINDS = ("T1", "T2_general", "T2_p2bundle")
@@ -233,7 +241,7 @@ def nl_codim_floor(inv: ThreefoldInvariants, spec: BundleSpec) -> BoundResult:
             notes=("P^3 has its own sharp theory; nothing is evaluated here",),
         )
     minus = spec.variant == "minus_d_regular"
-    a, b = (inv.alpha, inv.beta) if minus else (inv.a_adj, inv.b_adj)
+    a, b = _twist_pair(inv, spec)
     d = spec.d
     n_value = n_of(d, a, b)
     assumptions = () if minus else (_ADJOINT_ASSUMPTION,)
@@ -262,14 +270,12 @@ def nl_codim_floor(inv: ThreefoldInvariants, spec: BundleSpec) -> BoundResult:
             f"{'beta' if minus else 'b'}={b}",
         )
     ]
-    vanish = vanishing_hypothesis_met(inv, spec)
     if spec.h1_vanishing == "known_zero":
         detail = "declared known_zero"
-    elif minus:
-        detail = f"d = {d} vs 3*beta - 3*alpha + 13 = {3 * inv.beta - 3 * inv.alpha + 13}"
     else:
-        detail = f"d = {d} vs 2*b - 2*a + 13 = {2 * inv.b_adj - 2 * inv.a_adj + 13}"
-    checks.append(HypothesisCheck("h1_vanishing", vanish, detail))
+        formula = "3*beta - 3*alpha + 13" if minus else "2*b - 2*a + 13"
+        detail = f"d = {d} vs {formula} = {_h1_threshold(inv, spec)}"
+    checks.append(HypothesisCheck("h1_vanishing", vanishing_hypothesis_met(inv, spec), detail))
     if b >= 2:
         kind = "T1" if minus else ("T2_p2bundle" if bundle else "T2_general")
         thr = threshold_value(kind, b)
@@ -321,8 +327,7 @@ def _growth_step(
     raises by one; the slack is b for b >= 2 and 0 for b = 1; the hypothesis
     is 0 <= e <= n + 1 and c_hyp below the slack sum.
     """
-    minus = spec.variant == "minus_d_regular"
-    a, b = (inv.alpha, inv.beta) if minus else (inv.a_adj, inv.b_adj)
+    a, b = _twist_pair(inv, spec)
     n = n_of(spec.d + _extra_twist(inv), a, b)
     slack = b if b >= 2 else 0
     slack_sum = growth_slack_sum(n, slack)

@@ -71,18 +71,18 @@ def _build_record(fields: dict[str, tuple[str, int]], first_line: int) -> Catalo
             kwargs[key] = _parse_bool(raw, line_no)
     provenance = kwargs.pop("provenance", "")
     inv = ThreefoldInvariants(**kwargs)
+    e = inv.subcanonical_e
     try:
         inv.validate()
+        derived = None if e is None else derive_subcanonical_invariants(e)
     except ValueError as exc:
         raise CatalogError(f"record starting at line {first_line}: {exc}") from None
-    if inv.subcanonical_e is not None:
-        derived = derive_subcanonical_invariants(inv.subcanonical_e)
-        stated = (inv.alpha, inv.beta, inv.a_adj, inv.b_adj)
-        if derived != stated:
-            raise CatalogError(
-                f"record starting at line {first_line}: invariants {stated} disagree "
-                f"with {derived} derived from subcanonical e = {inv.subcanonical_e}"
-            )
+    stated = (inv.alpha, inv.beta, inv.a_adj, inv.b_adj)
+    if derived not in (None, stated):
+        raise CatalogError(
+            f"record starting at line {first_line}: invariants {stated} disagree "
+            f"with {derived} derived from subcanonical e = {e}"
+        )
     return CatalogRecord(invariants=inv, provenance=provenance)
 
 

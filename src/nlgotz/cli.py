@@ -28,6 +28,13 @@ from .verify import (
 
 _ENV_SEED = "NLGOTZ_SEED"
 _ENV_PRIME = "NLGOTZ_PRIME"
+# inline invariants of `bound`: integer values, then shape switches
+_INVARIANT_FLAGS = ("--alpha", "--beta", "--a-adj", "--b-adj")
+_SHAPE_FLAGS = ("--p2-bundle", "--quadric", "--p3")
+
+
+def _dest(flag: str) -> str:
+    return flag[2:].replace("-", "_")
 
 
 def _env_int(name: str, fallback: int) -> int:
@@ -61,13 +68,10 @@ def _parser() -> argparse.ArgumentParser:
     b.add_argument("--trace", type=int, metavar="C", help="replay the argument at c_hyp = C")
     b.add_argument("--catalog", metavar="PATH", help="load entries from this catalog file")
     b.add_argument("--name", default="inline", help="name for inline invariants")
-    b.add_argument("--alpha", type=int)
-    b.add_argument("--beta", type=int)
-    b.add_argument("--a-adj", type=int)
-    b.add_argument("--b-adj", type=int)
-    b.add_argument("--p2-bundle", action="store_true")
-    b.add_argument("--quadric", action="store_true")
-    b.add_argument("--p3", action="store_true")
+    for flag in _INVARIANT_FLAGS:
+        b.add_argument(flag, type=int)
+    for flag in _SHAPE_FLAGS:
+        b.add_argument(flag, action="store_true")
     b.add_argument("--format", choices=("table", "csv"), default="table")
 
     cfg = VerifyConfig()
@@ -105,26 +109,15 @@ def _records(args):
 
 
 def _inline_invariants(args) -> ThreefoldInvariants:
-    missing = [
-        flag
-        for flag, val in (
-            ("--alpha", args.alpha),
-            ("--beta", args.beta),
-            ("--a-adj", args.a_adj),
-            ("--b-adj", args.b_adj),
-        )
-        if val is None
-    ]
+    values = {_dest(flag): getattr(args, _dest(flag)) for flag in _INVARIANT_FLAGS}
+    missing = [flag for flag in _INVARIANT_FLAGS if values[_dest(flag)] is None]
     if missing and not args.p3:
         raise ValueError(
             f"no catalog entry given, so inline invariants are required: missing {' '.join(missing)}"
         )
     inv = ThreefoldInvariants(
         name=args.name,
-        alpha=args.alpha if args.alpha is not None else 1,
-        beta=args.beta if args.beta is not None else 1,
-        a_adj=args.a_adj if args.a_adj is not None else 1,
-        b_adj=args.b_adj if args.b_adj is not None else 1,
+        **{key: 1 if val is None else val for key, val in values.items()},
         is_linear_p2_bundle=args.p2_bundle,
         is_quadric=args.quadric,
         is_p3=args.p3,
@@ -140,9 +133,6 @@ def _check_marks(checks, out):
 
 
 def cmd_decompose(args, out) -> int:
-    if args.c < 0 or args.d < 1:
-        print("decompose needs c >= 0 and d >= 1", file=sys.stderr)
-        return 2
     rep = macaulay_rep(args.c, args.d)
     upper = upper_macaulay(args.c, args.d)
     lower = lower_macaulay(args.c, args.d)
@@ -167,18 +157,8 @@ def cmd_bound(args, out) -> int:
     )
     if args.entry:
         clashing = [
-            flag
-            for flag, given in (
-                ("--alpha", args.alpha is not None),
-                ("--beta", args.beta is not None),
-                ("--a-adj", args.a_adj is not None),
-                ("--b-adj", args.b_adj is not None),
-                ("--p2-bundle", args.p2_bundle),
-                ("--quadric", args.quadric),
-                ("--p3", args.p3),
-            )
-            if given
-        ]
+            flag for flag in _INVARIANT_FLAGS if getattr(args, _dest(flag)) is not None
+        ] + [flag for flag in _SHAPE_FLAGS if getattr(args, _dest(flag))]
         if clashing:
             raise ValueError(
                 f"entry {args.entry!r} conflicts with inline invariant flags:"

@@ -12,13 +12,13 @@ certificates, and middle exactness of Koszul complexes.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from itertools import combinations
+from itertools import combinations, product
 
 import numpy as np
 
 from . import modp
 from .macaulay import lower_macaulay, upper_macaulay
-from .monomials import dim_degree, monomial_index, monomials, shift_table, unit_exponent
+from .monomials import dim_degree, lead_divisions, product_table
 
 __all__ = [
     "RingContext",
@@ -203,37 +203,36 @@ def random_subspace(
     return GradedSubspace(context, sheaf, degree, rows)
 
 
-def _column_maps(context: RingContext, sheaf: SplitSheaf, degree: int) -> list[np.ndarray]:
-    """Multiplication by each variable x_i, as a column map one degree up.
+def _column_maps(context: RingContext, sheaf: SplitSheaf, degree: int, t: int = 1) -> np.ndarray:
+    """Multiplication by each degree-t monomial, as a column map t degrees up.
 
-    Entry j of map i is the column of x_i times basis element j of
-    H^0(M(degree)) inside the basis of H^0(M(degree + 1)).
+    Row k, entry j is the column of the k-th degree-t monomial (lex order;
+    for t = 1 the variable x_k) times basis element j of H^0(M(degree))
+    inside the basis of H^0(M(degree + t)).
     """
     nv = context.N + 1
     src, n_src = _layout(context, sheaf, degree)
-    tgt, _ = _layout(context, sheaf, degree + 1)
-    maps = []
-    for i in range(nv):
-        colmap = np.empty(n_src, dtype=np.int64)
-        for (_, m, dim, off), (_, _, _, toff) in zip(src, tgt):
-            if dim == 0:
-                continue
-            colmap[off : off + dim] = toff + shift_table(nv, m, unit_exponent(nv, i))
-        maps.append(colmap)
+    tgt, _ = _layout(context, sheaf, degree + t)
+    maps = np.empty((dim_degree(nv, t), n_src), dtype=np.int64)
+    for (_, m, dim, off), (_, _, _, toff) in zip(src, tgt):
+        if dim:
+            maps[:, off : off + dim] = toff + product_table(nv, m, t)
     return maps
+
+
+def _shifted_rows(v: GradedSubspace, t: int) -> np.ndarray:
+    """The basis of V times each degree-t monomial, one block of rows per monomial."""
+    r = v.dim
+    maps = _column_maps(v.context, v.sheaf, v.degree, t)
+    rows = np.zeros((r * len(maps), section_dim(v.sheaf, v.degree + t, v.context)), dtype=np.int64)
+    for i, colmap in enumerate(maps):
+        rows[i * r : (i + 1) * r, colmap] = v.basis
+    return rows
 
 
 def _times_linear_forms(v: GradedSubspace) -> GradedSubspace:
     """The image of V under multiplication by all linear forms, one degree up."""
-    ctx = v.context
-    r = v.dim
-    if r == 0:
-        return zero_subspace(ctx, v.sheaf, v.degree + 1)
-    maps = _column_maps(ctx, v.sheaf, v.degree)
-    rows = np.zeros((r * len(maps), section_dim(v.sheaf, v.degree + 1, ctx)), dtype=np.int64)
-    for i, colmap in enumerate(maps):
-        rows[i * r : (i + 1) * r, colmap] = v.basis
-    return GradedSubspace(ctx, v.sheaf, v.degree + 1, rows)
+    return GradedSubspace(v.context, v.sheaf, v.degree + 1, _shifted_rows(v, 1))
 
 
 def multiply(v: GradedSubspace, t: int) -> GradedSubspace:
@@ -280,10 +279,10 @@ def _substitution_matrix(
     The hyperplane H = {lam . x = 0} has lam[N] != 0, so restriction is the
     ring map x_i -> y_i for i < N and x_N -> mu . y, with
     mu = -(lam_0, ..., lam_{N-1}) / lam_N, into the remaining variables.
-    Being multiplicative, it is built one degree at a time: for each x_i,
-    the images of the degree-m monomials x^e x_i are the degree-(m - 1)
-    images of x^e times the image of x_i, a multiplication map on P^{N-1}.
-    Each summand's block is the map at its own degree.
+    Being multiplicative, it is built one degree at a time: the image of a
+    degree-m monomial is the image of its quotient by its first variable x_i
+    (`lead_divisions`) times the image of x_i, a multiplication map on
+    P^{N-1}.  Each summand's block is the map at its own degree.
     """
     p = context.p
     nv = context.N + 1
@@ -295,10 +294,12 @@ def _substitution_matrix(
     tgt, n_tgt = _layout(ctx_h, sheaf, degree)
     images = [np.ones((1, 1), dtype=np.int64)]
     for m in range(1, max(block[1] for block in src) + 1):
+        var, quotient = lead_divisions(nv, m)
         image = np.empty((dim_degree(nv, m), dim_degree(nv - 1, m)), dtype=np.int64)
         for i, form in enumerate(forms):
-            image[shift_table(nv, m - 1, unit_exponent(nv, i))] = modp.matmul_mod(
-                images[m - 1], _linear_form_matrix(ctx_h, line, m, form), p
+            rows = var == i
+            image[rows] = modp.matmul_mod(
+                images[m - 1][quotient[rows]], _linear_form_matrix(ctx_h, line, m, form), p
             )
         images.append(image)
     s = np.zeros((n_src, n_tgt), dtype=np.int64)
@@ -314,11 +315,9 @@ def _linear_form_matrix(
     """Matrix of multiplication by the linear form lam . x, one degree up."""
     n_src = section_dim(sheaf, degree - 1, context)
     m_l = np.zeros((n_src, section_dim(sheaf, degree, context)), dtype=np.int64)
-    if n_src == 0:
-        return m_l
-    rows = np.arange(n_src)
-    for i, colmap in enumerate(_column_maps(context, sheaf, degree - 1)):
-        m_l[rows, colmap] = (m_l[rows, colmap] + int(lam[i])) % context.p
+    # x_i times a monomial differs for each i, so no entry is written twice
+    maps = _column_maps(context, sheaf, degree - 1)
+    m_l[np.arange(n_src), maps] = np.asarray(lam, dtype=np.int64)[:, None] % context.p
     return m_l
 
 
@@ -427,21 +426,15 @@ def _evaluate_at_points(
     """Values of each basis row at each point, as a (rows x points) matrix.
 
     `pts` holds one coordinate per row (coordinates x points).  The values of
-    the monomials of each degree are built from those one degree lower, at
-    one modular multiply per monomial; the top degree is written straight
-    into float64 for the product with the basis.
+    the monomials of each degree are built from those one degree lower
+    (`lead_divisions`), at one modular multiply per monomial; the top degree
+    is written straight into float64 for the product with the basis.
     """
     nv = pts.shape[0]
     vals = np.ones((1, pts.shape[1]), dtype=np.int64)
     for d in range(1, degree + 1):
-        lower = monomial_index(nv, d - 1)
-        var = []
-        src = []
-        for e in monomials(nv, d):
-            i = next(i for i, ei in enumerate(e) if ei)
-            var.append(i)
-            src.append(lower[e[:i] + (e[i] - 1,) + e[i + 1 :]])
-        prod = vals[src]
+        var, quotient = lead_divisions(nv, d)
+        prod = vals[quotient]
         prod *= pts[var]
         vals = np.empty(prod.shape, dtype=np.float64 if d == degree else np.int64)
         np.remainder(prod, p, out=vals)
@@ -540,59 +533,34 @@ def koszul_middle_exact(
     d_form = v.degree + v.sheaf.twists[0]
     c = v.codim
     r = v.dim
-    hypothesis = k >= p_index + d_form + c
     dim_k = dim_degree(nv, k)
     dim_kd = dim_degree(nv, k - d_form)
+    pairs = list(combinations(range(r), 2))
+    if p_index == 0:
+        middle = dim_k
+        entries = r * dim_kd * dim_k
+    else:
+        middle = r * dim_k
+        entries = max(len(pairs) * dim_kd * middle, middle * dim_degree(nv, k + d_form))
+    if entries > entry_budget:
+        raise BudgetExceededError(f"{entries} matrix entries exceed the budget")
 
     if p_index == 0:
-        entries = r * dim_kd * dim_k
-        if entries > entry_budget:
-            raise BudgetExceededError(f"{entries} matrix entries exceed the budget")
-        rows = np.zeros((r * dim_kd, dim_k), dtype=np.int64)
-        for fi, f in enumerate(monomials(nv, k - d_form)):
-            tab = shift_table(nv, d_form, f)
-            rows[fi * r : (fi + 1) * r, tab] = v.basis
-        rank_in = modp.rank_of(rows, p)
-        return KoszulResult(
-            exact=rank_in == dim_k,
-            hypothesis_met=hypothesis,
-            p_index=0,
-            k=k,
-            form_degree=d_form,
-            codim=c,
-            rank_in=rank_in,
-            rank_out=0,
-            middle_dim=dim_k,
-        )
-
-    middle = r * dim_k
-    dim_out = dim_degree(nv, k + d_form)
-    pairs = list(combinations(range(r), 2))
-    entries_in = len(pairs) * dim_kd * middle
-    entries_out = middle * dim_out
-    if max(entries_in, entries_out) > entry_budget:
-        raise BudgetExceededError(
-            f"{max(entries_in, entries_out)} matrix entries exceed the budget"
-        )
-    outgoing = np.zeros((middle, dim_out), dtype=np.int64)
-    for gi, g in enumerate(monomials(nv, k)):
-        tab = shift_table(nv, d_form, g)
-        for i in range(r):
-            outgoing[i * dim_k + gi, tab] = v.basis[i]
-    incoming = np.zeros((len(pairs) * dim_kd, middle), dtype=np.int64)
-    row = 0
-    for i, j in pairs:
-        for f in monomials(nv, k - d_form):
-            tab = shift_table(nv, d_form, f)
-            incoming[row, i * dim_k + tab] = v.basis[j]
-            incoming[row, j * dim_k + tab] = (p - v.basis[i]) % p
-            row += 1
-    rank_out = modp.rank_of(outgoing, p)
-    rank_in = modp.rank_of(incoming, p)
+        rank_in = modp.rank_of(_shifted_rows(v, k - d_form), p)
+        rank_out = 0
+    else:
+        # rows in another order than the middle coordinates: the same rank
+        rank_out = modp.rank_of(_shifted_rows(v, k), p)
+        incoming = np.zeros((len(pairs) * dim_kd, middle), dtype=np.int64)
+        maps = _column_maps(ctx, v.sheaf, v.degree, k - d_form)
+        for row, ((i, j), colmap) in enumerate(product(pairs, maps)):
+            incoming[row, i * dim_k + colmap] = v.basis[j]
+            incoming[row, j * dim_k + colmap] = (p - v.basis[i]) % p
+        rank_in = modp.rank_of(incoming, p)
     return KoszulResult(
         exact=rank_in == middle - rank_out,
-        hypothesis_met=hypothesis,
-        p_index=1,
+        hypothesis_met=k >= p_index + d_form + c,
+        p_index=p_index,
         k=k,
         form_degree=d_form,
         codim=c,

@@ -1,9 +1,10 @@
-"""Monomial bases of fixed degree in a fixed variable order.
+"""Monomial bases of fixed degree in a fixed variable order, and their products.
 
 Monomials are exponent tuples, always enumerated in descending lexicographic
-order with the first variable greatest (x_0 > x_1 > ... > x_N).  Everything
-here is cached: the bases serve as column coordinates for the linear algebra
-in `graded`, so repeated lookups must be cheap.
+order with the first variable greatest (x_0 > x_1 > ... > x_N).  This module
+owns that layout and every table of monomial products on it, so `graded`
+builds its matrices without handling exponent tuples.  Everything here is
+cached: repeated lookups must be cheap.
 """
 
 from __future__ import annotations
@@ -13,7 +14,15 @@ from functools import lru_cache
 
 import numpy as np
 
-__all__ = ["dim_degree", "monomials", "monomial_index", "shift_table", "unit_exponent"]
+__all__ = [
+    "dim_degree",
+    "monomials",
+    "monomial_index",
+    "shift_table",
+    "product_table",
+    "lead_divisions",
+    "unit_exponent",
+]
 
 
 def dim_degree(num_vars: int, degree: int) -> int:
@@ -59,6 +68,43 @@ def shift_table(num_vars: int, degree: int, shift: tuple[int, ...]) -> np.ndarra
         table[j] = tgt[tuple(a + b for a, b in zip(e, shift))]
     table.setflags(write=False)
     return table
+
+
+@lru_cache(maxsize=None)
+def product_table(num_vars: int, degree: int, t: int) -> np.ndarray:
+    """Shift tables for every degree-t monomial, one row each, in lex order.
+
+    Row k is `shift_table(num_vars, degree, f)` for the k-th monomial f of
+    degree t; a negative t has no monomials, so no rows.
+    """
+    table = np.empty((dim_degree(num_vars, t), dim_degree(num_vars, degree)), dtype=np.int64)
+    for k, f in enumerate(monomials(num_vars, t)):
+        table[k] = shift_table(num_vars, degree, f)
+    table.setflags(write=False)
+    return table
+
+
+@lru_cache(maxsize=None)
+def lead_divisions(num_vars: int, degree: int) -> tuple[np.ndarray, np.ndarray]:
+    """(var, quotient) for the degree-`degree` monomials, degree >= 1.
+
+    var[j] is the first variable x_i dividing monomial j and quotient[j] the
+    position of monomial j / x_i among the monomials one degree lower, so
+    each monomial is one product of a lower one with one variable.
+    """
+    if degree < 1:
+        raise ValueError("lead divisions need degree >= 1")
+    var = np.empty(dim_degree(num_vars, degree), dtype=np.int64)
+    quotient = np.empty_like(var)
+    lower = np.arange(dim_degree(num_vars, degree - 1), dtype=np.int64)
+    # x_0 writes last, so every monomial keeps its first variable
+    for i in range(num_vars - 1, -1, -1):
+        table = shift_table(num_vars, degree - 1, unit_exponent(num_vars, i))
+        var[table] = i
+        quotient[table] = lower
+    var.setflags(write=False)
+    quotient.setflags(write=False)
+    return var, quotient
 
 
 def unit_exponent(num_vars: int, i: int) -> tuple[int, ...]:

@@ -1,6 +1,8 @@
 """Catalog parsing, serialization, and the built-in entries."""
 
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
 from nlgotz.catalog import (
     CatalogError,
@@ -12,7 +14,7 @@ from nlgotz.catalog import (
     loads_catalog,
     save_catalog,
 )
-from nlgotz.bounds import ThreefoldInvariants
+from nlgotz.bounds import ThreefoldInvariants, derive_subcanonical_invariants
 
 
 def test_default_catalog_entries():
@@ -121,6 +123,13 @@ def test_subcanonical_cross_check():
     assert records[0].invariants.subcanonical_e == 0
 
 
+def test_underivable_subcanonical_degree_names_the_record():
+    # e = 2 passes validation but has no derived invariants
+    text = "# header\n\n" + _record_text(subcanonical_e="2")
+    with pytest.raises(CatalogError, match="record starting at line 3: .*e <= 1"):
+        loads_catalog(text)
+
+
 def test_provenance_is_preserved():
     rec = CatalogRecord(
         invariants=ThreefoldInvariants(name="y", alpha=1, beta=1, a_adj=1, b_adj=1),
@@ -128,3 +137,83 @@ def test_provenance_is_preserved():
     )
     out = loads_catalog(dumps_catalog([rec]))
     assert out[0].provenance == "hand-entered for a test"
+
+
+# one line of text a catalog value can hold: stripped, nonempty, no line break
+_values = (
+    st.text(st.characters(blacklist_categories=("Cc", "Cs", "Zl", "Zp")), min_size=1)
+    .map(str.strip)
+    .filter(lambda v: v and v.splitlines() == [v])
+)
+
+
+@st.composite
+def _records(draw):
+    e = draw(st.one_of(st.none(), st.integers(-3, 1)))
+    if e is None:
+        alpha, beta, a_adj, b_adj = (draw(st.integers(lo, 4)) for lo in (1, 1, 0, 1))
+    else:
+        alpha, beta, a_adj, b_adj = derive_subcanonical_invariants(e)
+    shape = draw(st.sampled_from(("plain", "quadric", "bundle")))
+    inv = ThreefoldInvariants(
+        name=draw(_values),
+        alpha=alpha,
+        beta=beta,
+        a_adj=a_adj,
+        b_adj=b_adj,
+        subcanonical_e=e,
+        h3=draw(st.one_of(st.none(), st.integers(1, 10**6))),
+        pic_is_z=draw(st.booleans()),
+        is_linear_p2_bundle=shape == "bundle",
+        is_quadric=shape == "quadric",
+        is_p3=draw(st.booleans()),
+    )
+    try:
+        inv.validate()
+    except ValueError:
+        assume(False)
+    return CatalogRecord(inv, draw(st.one_of(st.just(""), _values)))
+
+
+@given(st.lists(_records(), max_size=4, unique_by=lambda rec: rec.name).map(tuple))
+def test_dumps_then_loads_is_the_identity(records):
+    assert loads_catalog(dumps_catalog(records)) == records
+
+
+_INT_KEYS = ("alpha", "beta", "a_adj", "b_adj", "subcanonical_e", "h3")
+_BOOL_KEYS = ("pic_is_z", "is_linear_p2_bundle", "is_quadric", "is_p3")
+# (key, new value) replaces a value, (key, None) drops the key;
+# subcanonical_e has a branch of its own, so that records often reach the
+# cross-check against the derived invariants
+_edits = st.one_of(
+    st.tuples(st.just("subcanonical_e"), st.integers(-6, 6).map(str)),
+    st.tuples(st.sampled_from(_INT_KEYS), st.integers(-6, 6).map(str)),
+    st.tuples(st.sampled_from(_BOOL_KEYS), st.sampled_from(("true", "false", "yes"))),
+    st.tuples(
+        st.sampled_from(_INT_KEYS + _BOOL_KEYS + ("name", "provenance", "colour")), st.text()
+    ),
+    st.tuples(st.sampled_from(("name", "alpha", "beta", "a_adj", "b_adj")), st.none()),
+)
+
+
+@st.composite
+def _catalog_texts(draw):
+    """Paragraphs that start from a valid record and then get a few edits."""
+    paragraphs = []
+    for k in range(draw(st.integers(1, 3))):
+        fields = dict(name=f"x{k}", alpha="1", beta="1", a_adj="1", b_adj="1")
+        for key, value in draw(st.lists(_edits, max_size=3)):
+            fields[key] = value
+        lines = [f"{key} = {value}" for key, value in fields.items() if value is not None]
+        if draw(st.booleans()):
+            lines.append(draw(st.one_of(st.just("# comment"), st.text())))
+        paragraphs.append("\n".join(draw(st.permutations(lines))))
+    return "\n\n".join(paragraphs)
+
+
+@given(st.one_of(_catalog_texts(), st.text()))
+def test_fuzzed_text_raises_only_catalog_errors(text):
+    try:
+        loads_catalog(text)
+    except CatalogError:
+        pass

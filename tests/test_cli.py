@@ -32,8 +32,9 @@ def test_decompose_csv(capsys):
 
 def test_decompose_invalid_inputs(capsys):
     assert main(["decompose", "--", "-1", "2"]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
     assert main(["decompose", "5", "0"]) == 2
-    capsys.readouterr()
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_bound_quadric_with_trace(capsys):

@@ -388,32 +388,50 @@ def test_koszul_middle_strand_frozen():
     assert (res.middle_dim, res.rank_out, res.rank_in) == (84, 45, 39)
 
 
-def test_koszul_middle_strand_against_dict_oracle():
-    ctx = RingContext(2, P)
-    v = full_space(ctx, SplitSheaf((0,)), 1)
-    res = koszul_middle_exact(v, 2, 1)
-    assert res.exact and res.hypothesis_met
-    assert (res.middle_dim, res.rank_out, res.rank_in) == (18, 10, 8)
+def _koszul_oracle_ranks(v, k, p_index):
+    """(rank_in, rank_out) of one Koszul strand, from dict polynomials."""
+    nv = v.context.N + 1
+    d_form = v.degree + v.sheaf.twists[0]
     basis = [vec[0] for vec in _as_dict_vectors(v)]
     r = len(basis)
 
     def poly_times_mono(poly, mono):
         return {tuple(a + b for a, b in zip(e, mono)): c for e, c in poly.items()}
 
+    if p_index == 0:
+        products = [
+            (poly_times_mono(b, f),) for b in basis for f in monomials(nv, k - d_form)
+        ]
+        return vectors_rank(products, P), 0
     outgoing = []
     for i in range(r):
-        for g in monomials(3, 2):
+        for g in monomials(nv, k):
             outgoing.append((poly_times_mono(basis[i], g),))
-    assert vectors_rank(outgoing, P) == res.rank_out
     incoming = []
     for i in range(r):
         for j in range(i + 1, r):
-            for f in monomials(3, 1):
+            for f in monomials(nv, k - d_form):
                 vec = [dict() for _ in range(r)]
                 vec[i] = poly_times_mono(basis[j], f)
                 vec[j] = {e: (-c) % P for e, c in poly_times_mono(basis[i], f).items()}
                 incoming.append(tuple(vec))
-    assert vectors_rank(incoming, P) == res.rank_in
+    return vectors_rank(incoming, P), vectors_rank(outgoing, P)
+
+
+def test_koszul_middle_strand_against_dict_oracle():
+    ctx = RingContext(2, P)
+    v = full_space(ctx, SplitSheaf((0,)), 1)
+    res = koszul_middle_exact(v, 2, 1)
+    assert res.exact and res.hypothesis_met
+    assert (res.middle_dim, res.rank_out, res.rank_in) == (18, 10, 8)
+    # the twisted case: forms of degree D = 2 from O(1) at degree 1, so the
+    # column maps start at degree 1 while the strand is graded by D
+    twisted = full_space(ctx, SplitSheaf((1,)), 1)
+    for w, k in ((v, 2), (twisted, 3), (twisted, 4)):
+        for p_index in (0, 1):
+            res = koszul_middle_exact(w, k, p_index)
+            assert res.form_degree == w.degree + w.sheaf.twists[0]
+            assert (res.rank_in, res.rank_out) == _koszul_oracle_ranks(w, k, p_index)
 
 
 def test_koszul_guards():

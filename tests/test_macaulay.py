@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from nlgotz.macaulay import (
     GrowthSlackCheck,
@@ -159,3 +161,23 @@ def test_green_scan_small_domain_is_empty():
     assert green_implication_scan(200, 6) == []
     assert green_implication_scan(-1, 5) == []
     assert green_implication_scan(50, 1) == []
+
+
+# small c exercises short expansions, large c long ones with big k_d
+_cs = st.one_of(st.integers(0, 500), st.integers(0, 10**12))
+_ds = st.integers(1, 12)
+
+
+@given(c=_cs, d=_ds)
+def test_expansion_round_trips_through_value(c, d):
+    rep = macaulay_rep(c, d)
+    assert rep.value() == c
+    # strictly decreasing, with k_f >= f >= 1
+    assert all(a > b for a, b in zip(rep.ks, rep.ks[1:]))
+    assert all(k >= d - j for j, k in enumerate(rep.ks))
+
+
+@given(c=_cs, step=st.integers(0, 1000), d=_ds)
+def test_growth_bounds_are_monotone_in_c(c, step, d):
+    assert upper_macaulay(c, d) <= upper_macaulay(c + step, d)
+    assert lower_macaulay(c, d) <= lower_macaulay(c + step, d)

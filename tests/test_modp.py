@@ -115,7 +115,7 @@ def test_matmul_mod_big_prime_fallback():
 THRESHOLD_PRIMES = (101, 67108859, 94906249, 94906297, 1073741827, 2147483647)
 
 
-@settings(derandomize=True, database=None, max_examples=80, deadline=None)
+@settings(max_examples=80)
 @given(
     p=st.sampled_from(THRESHOLD_PRIMES),
     m=st.integers(1, 4),

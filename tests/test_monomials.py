@@ -4,8 +4,10 @@ import pytest
 
 from nlgotz.monomials import (
     dim_degree,
+    lead_divisions,
     monomial_index,
     monomials,
+    product_table,
     shift_table,
     unit_exponent,
 )
@@ -75,6 +77,31 @@ def test_shift_table_injective_and_frozen():
     assert len(set(table.tolist())) == len(table)
     with pytest.raises(ValueError):
         table[0] = 5  # read-only
+
+
+def test_product_table_stacks_the_shift_tables():
+    for nv in (1, 2, 3, 4):
+        for d in (0, 1, 2):
+            for t in (-1, 0, 1, 2, 3):
+                table = product_table(nv, d, t)
+                assert table.shape == (dim_degree(nv, t), dim_degree(nv, d))
+                for k, f in enumerate(monomials(nv, t)):
+                    assert table[k].tolist() == shift_table(nv, d, f).tolist()
+    with pytest.raises(ValueError):
+        product_table(3, 1, 1)[0, 0] = 5  # read-only
+
+
+def test_lead_divisions_split_off_the_first_variable():
+    for nv in (1, 2, 3, 4):
+        for d in range(1, 6):
+            var, quotient = lead_divisions(nv, d)
+            lower = monomials(nv, d - 1)
+            for j, e in enumerate(monomials(nv, d)):
+                i = var[j]
+                assert all(a == 0 for a in e[:i]) and e[i] > 0
+                assert tuple(a + b for a, b in zip(lower[quotient[j]], unit_exponent(nv, i))) == e
+    with pytest.raises(ValueError):
+        lead_divisions(3, 0)
 
 
 def test_unit_exponent():
