@@ -133,10 +133,16 @@ def load_catalog(path: str | Path) -> tuple[CatalogRecord, ...]:
 
 
 def dumps_catalog(records: tuple[CatalogRecord, ...] | list[CatalogRecord]) -> str:
-    """Serialize records deterministically; load(dumps(r)) == r, byte for byte."""
+    """Serialize records deterministically; load(dumps(r)) == r, byte for byte.
+
+    A name or provenance that its line cannot hold raises CatalogError.
+    """
     chunks = []
     for rec in records:
         inv = rec.invariants
+        for key, value in (("name", inv.name), ("provenance", rec.provenance)):
+            if value != value.strip() or len(value.splitlines()) > 1:
+                raise CatalogError(f"{key} {value!r} has surrounding whitespace or a line break")
         lines = [
             f"name = {inv.name}",
             f"alpha = {inv.alpha}",

@@ -11,8 +11,9 @@ certificates, and middle exactness of Koszul complexes.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
-from itertools import combinations, product
+from itertools import combinations
 
 import numpy as np
 
@@ -501,6 +502,24 @@ class KoszulResult:
     middle_dim: int
 
 
+def _koszul_map(v: GradedSubspace, p: int, t: int) -> np.ndarray:
+    """The Koszul differential Wedge^p V x S_t -> Wedge^{p-1} V x S_{t+D}, for p >= 1.
+
+    e_I x f goes to the sum over s of (-1)^s e_{I - i_s} x v_{i_s} f.  Rows
+    and columns come in blocks of p- and (p-1)-subsets in lex order; the
+    block at (I, I - i_s) is the signed block of `_shifted_rows(v, t)` for v_{i_s}.
+    """
+    r = v.dim
+    shifted = _shifted_rows(v, t)
+    faces = {face: b for b, face in enumerate(combinations(range(r), p - 1))}
+    shape = (math.comb(r, p), dim_degree(v.context.N + 1, t), len(faces), shifted.shape[1])
+    out = np.zeros(shape, dtype=np.int64)
+    for a, subset in enumerate(combinations(range(r), p)):
+        for s, i in enumerate(subset):
+            out[a, :, faces[subset[:s] + subset[s + 1 :]]] = (-1) ** s * shifted[i::r] % v.context.p
+    return out.reshape(-1, shape[2] * shape[3])
+
+
 def koszul_middle_exact(
     v: GradedSubspace,
     k: int,
@@ -508,62 +527,40 @@ def koszul_middle_exact(
     t_max: int = 6,
     entry_budget: int = 20_000,
 ) -> KoszulResult:
-    """Decide exactness of the Koszul strand at Wedge^{p+1} V x S_{k - D}.
+    """Decide exactness of the Koszul strand at Wedge^p V x S_k, for any p >= 0.
 
-    For p_index = 0 this is surjectivity of V x S_{k-D} -> S_k; for
-    p_index = 1 it is middle exactness of
-    Wedge^2 V x S_{k-D} -> V x S_k -> S_{k+D}, decided by comparing the rank
-    of the incoming map with the nullity of the outgoing one (their
-    composition is zero, so equality is exactness).  D is the degree of the
-    forms spanning V.  The classical expectation is exactness whenever
-    k >= p_index + D + codim V, reported as `hypothesis_met`.
-
+    Wedge^{p+1} V x S_{k-D} -> Wedge^p V x S_k -> Wedge^{p-1} V x S_{k+D}, for
+    D the degree of the forms spanning V, composes to zero, so it is exact
+    when the incoming rank equals the outgoing nullity; at p = 0 the outgoing
+    map is zero (Wedge^{-1} V = 0).  Green's vanishing theorem gives exactness
+    for k >= p + D + codim V, reported as `hypothesis_met`.  A zero middle
+    term (p < 0, p > dim V or k < 0) checks nothing and raises ValueError.
     V must certify as base-point free first; matrices larger than
     entry_budget entries are refused rather than approximated.
     """
-    if p_index not in (0, 1):
-        raise ValueError("only the first two Koszul strands are supported")
+    nv, r = v.context.N + 1, v.dim
+    wedge = [math.comb(r, q) if q >= 0 else 0 for q in range(p_index - 1, p_index + 2)]
+    middle = wedge[1] * dim_degree(nv, k)
+    if middle == 0:
+        raise ValueError(f"Wedge^{p_index} V x S_{k} is zero for dim V = {r}: it checks nothing")
     verdict = is_basepoint_free(v, t_max=t_max)
     if verdict != "free":
         raise CertificationError(
             f"base-point-freeness must certify before Koszul checks (got {verdict!r})"
         )
-    ctx = v.context
-    p, nv = ctx.p, ctx.N + 1
-    d_form = v.degree + v.sheaf.twists[0]
-    c = v.codim
-    r = v.dim
-    dim_k = dim_degree(nv, k)
-    dim_kd = dim_degree(nv, k - d_form)
-    pairs = list(combinations(range(r), 2))
-    if p_index == 0:
-        middle = dim_k
-        entries = r * dim_kd * dim_k
-    else:
-        middle = r * dim_k
-        entries = max(len(pairs) * dim_kd * middle, middle * dim_degree(nv, k + d_form))
+    d = v.degree + v.sheaf.twists[0]
+    entries = middle * max(wedge[2] * dim_degree(nv, k - d), wedge[0] * dim_degree(nv, k + d))
     if entries > entry_budget:
         raise BudgetExceededError(f"{entries} matrix entries exceed the budget")
-
-    if p_index == 0:
-        rank_in = modp.rank_of(_shifted_rows(v, k - d_form), p)
-        rank_out = 0
-    else:
-        # rows in another order than the middle coordinates: the same rank
-        rank_out = modp.rank_of(_shifted_rows(v, k), p)
-        incoming = np.zeros((len(pairs) * dim_kd, middle), dtype=np.int64)
-        maps = _column_maps(ctx, v.sheaf, v.degree, k - d_form)
-        for row, ((i, j), colmap) in enumerate(product(pairs, maps)):
-            incoming[row, i * dim_k + colmap] = v.basis[j]
-            incoming[row, j * dim_k + colmap] = (p - v.basis[i]) % p
-        rank_in = modp.rank_of(incoming, p)
+    rank_in = modp.rank_of(_koszul_map(v, p_index + 1, k - d), v.context.p)
+    rank_out = modp.rank_of(_koszul_map(v, p_index, k), v.context.p) if p_index else 0
     return KoszulResult(
         exact=rank_in == middle - rank_out,
-        hypothesis_met=k >= p_index + d_form + c,
+        hypothesis_met=k >= p_index + d + v.codim,
         p_index=p_index,
         k=k,
-        form_degree=d_form,
-        codim=c,
+        form_degree=d,
+        codim=v.codim,
         rank_in=rank_in,
         rank_out=rank_out,
         middle_dim=middle,

@@ -217,14 +217,11 @@ def reduce_rows(basis: np.ndarray, vectors: np.ndarray, p: int) -> np.ndarray:
 def nullspace(mat: np.ndarray, p: int) -> np.ndarray:
     """Basis, as rows, of the kernel {x : mat @ x = 0} over F_p."""
     a, r = rref(mat, p)
-    n = a.shape[1]
     piv = pivot_columns(a[:r])
-    free = np.setdiff1d(np.arange(n), piv)
-    k = np.zeros((free.size, n), dtype=np.int64)
-    for row, f in enumerate(free):
-        k[row, f] = 1
-        if r:
-            k[row, piv] = (-a[:r, f]) % p
+    free = np.setdiff1d(np.arange(a.shape[1]), piv)
+    k = np.zeros((free.size, a.shape[1]), dtype=np.int64)
+    k[np.arange(free.size), free] = 1
+    k[:, piv] = (-a[:r, free].T) % p
     return k
 
 

@@ -145,10 +145,27 @@ _values = (
     .map(str.strip)
     .filter(lambda v: v and v.splitlines() == [v])
 )
+# every line boundary str.splitlines knows, alone or doubled
+_breaks = st.sampled_from(
+    ("\n", "\r", "\r\n", "\n\n", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85")
+    + ("\u2028", "\u2029")
+)
+# values a line cannot hold: padded by a space, a tab or a break, or broken inside
+_padding = st.one_of(st.sampled_from((" ", "\t")), _breaks)
+_unwritable = st.one_of(
+    st.builds(str.__add__, _values, _padding),
+    st.builds(str.__add__, _padding, _values),
+    st.builds(lambda head, brk, tail: head + brk + tail, _values, _breaks, _values),
+)
+
+
+def _writable(value):
+    """A `key = value` line gives back exactly `value`: no padding, no second line."""
+    return value.strip() == value and value.splitlines() in ([], [value])
 
 
 @st.composite
-def _records(draw):
+def _records(draw, values):
     e = draw(st.one_of(st.none(), st.integers(-3, 1)))
     if e is None:
         alpha, beta, a_adj, b_adj = (draw(st.integers(lo, 4)) for lo in (1, 1, 0, 1))
@@ -156,7 +173,7 @@ def _records(draw):
         alpha, beta, a_adj, b_adj = derive_subcanonical_invariants(e)
     shape = draw(st.sampled_from(("plain", "quadric", "bundle")))
     inv = ThreefoldInvariants(
-        name=draw(_values),
+        name=draw(values),
         alpha=alpha,
         beta=beta,
         a_adj=a_adj,
@@ -172,12 +189,23 @@ def _records(draw):
         inv.validate()
     except ValueError:
         assume(False)
-    return CatalogRecord(inv, draw(st.one_of(st.just(""), _values)))
+    return CatalogRecord(inv, draw(st.one_of(st.just(""), values)))
 
 
-@given(st.lists(_records(), max_size=4, unique_by=lambda rec: rec.name).map(tuple))
+# half the catalogs hold only writable values, half may hold the others too
+_catalogs = st.sampled_from((_values, st.one_of(_values, _unwritable))).flatmap(
+    lambda values: st.lists(_records(values), max_size=4, unique_by=lambda rec: rec.name)
+)
+
+
+@given(_catalogs.map(tuple))
 def test_dumps_then_loads_is_the_identity(records):
-    assert loads_catalog(dumps_catalog(records)) == records
+    if all(_writable(rec.name) and _writable(rec.provenance) for rec in records):
+        assert loads_catalog(dumps_catalog(records)) == records
+    else:
+        # loads would trim, split or reject these values, so dumps refuses them
+        with pytest.raises(CatalogError, match="surrounding whitespace or a line break"):
+            dumps_catalog(records)
 
 
 _INT_KEYS = ("alpha", "beta", "a_adj", "b_adj", "subcanonical_e", "h3")

@@ -389,33 +389,30 @@ def test_koszul_middle_strand_frozen():
 
 
 def _koszul_oracle_ranks(v, k, p_index):
-    """(rank_in, rank_out) of one Koszul strand, from dict polynomials."""
+    """(rank_in, rank_out) of one Koszul strand, from dict polynomials.
+
+    A vector of Wedge^q V x S_t is a dict {(q-subset, exponent): coefficient};
+    the differential sends e_I x f to the sum over s of
+    (-1)^s e_{I - i_s} x v_{i_s} f, so Wedge^0 V x S_t maps to zero.
+    """
     nv = v.context.N + 1
     d_form = v.degree + v.sheaf.twists[0]
     basis = [vec[0] for vec in _as_dict_vectors(v)]
-    r = len(basis)
 
-    def poly_times_mono(poly, mono):
-        return {tuple(a + b for a, b in zip(e, mono)): c for e, c in poly.items()}
+    def differential(q, t):
+        images = []
+        for subset in itertools.combinations(range(len(basis)), q):
+            for f in monomials(nv, t):
+                image = {}
+                for s, i in enumerate(subset):
+                    face = subset[:s] + subset[s + 1 :]
+                    for e, c in basis[i].items():
+                        key = (face, tuple(a + b for a, b in zip(e, f)))
+                        image[key] = (image.get(key, 0) + (-1) ** s * c) % P
+                images.append((image,))
+        return vectors_rank(images, P)
 
-    if p_index == 0:
-        products = [
-            (poly_times_mono(b, f),) for b in basis for f in monomials(nv, k - d_form)
-        ]
-        return vectors_rank(products, P), 0
-    outgoing = []
-    for i in range(r):
-        for g in monomials(nv, k):
-            outgoing.append((poly_times_mono(basis[i], g),))
-    incoming = []
-    for i in range(r):
-        for j in range(i + 1, r):
-            for f in monomials(nv, k - d_form):
-                vec = [dict() for _ in range(r)]
-                vec[i] = poly_times_mono(basis[j], f)
-                vec[j] = {e: (-c) % P for e, c in poly_times_mono(basis[i], f).items()}
-                incoming.append(tuple(vec))
-    return vectors_rank(incoming, P), vectors_rank(outgoing, P)
+    return differential(p_index + 1, k - d_form), differential(p_index, k)
 
 
 def test_koszul_middle_strand_against_dict_oracle():
@@ -427,18 +424,32 @@ def test_koszul_middle_strand_against_dict_oracle():
     # the twisted case: forms of degree D = 2 from O(1) at degree 1, so the
     # column maps start at degree 1 while the strand is graded by D
     twisted = full_space(ctx, SplitSheaf((1,)), 1)
-    for w, k in ((v, 2), (twisted, 3), (twisted, 4)):
-        for p_index in (0, 1):
-            res = koszul_middle_exact(w, k, p_index)
+    squares = _squares(ctx)
+    checked = []
+    for w, k in ((v, 2), (twisted, 3), (twisted, 4), (squares, 4), (squares, 6)):
+        for p_index in range(w.dim + 1):
+            try:
+                res = koszul_middle_exact(w, k, p_index)
+            except BudgetExceededError:
+                # the default budget admits every strand at p = 0, 1
+                assert p_index >= 2
+                continue
             assert res.form_degree == w.degree + w.sheaf.twists[0]
             assert (res.rank_in, res.rank_out) == _koszul_oracle_ranks(w, k, p_index)
+            checked.append((w.dim, k, p_index))
+    # p = 0..dim V, less the 7 strands at p >= 2 that exceed the budget
+    assert len(checked) == 20
 
 
 def test_koszul_guards():
     ctx = RingContext(2, P)
     squares = _squares(ctx)
     with pytest.raises(ValueError):
-        koszul_middle_exact(squares, 5, 2)
+        koszul_middle_exact(squares, 5, -1)
+    # a zero middle term checks nothing: S_k = 0 for k < 0, Wedge^4 V = 0 for dim V = 3
+    for k, p_index in ((-1, 0), (-3, 1), (6, 4)):
+        with pytest.raises(ValueError, match="checks nothing"):
+            koszul_middle_exact(squares, k, p_index)
     with pytest.raises(BudgetExceededError):
         koszul_middle_exact(squares, 6, 1, entry_budget=100)
     idx = monomial_index(3, 2)

@@ -49,6 +49,42 @@ def test_rref_is_canonical_under_row_shuffles():
         assert np.array_equal(modp.row_space(basis, p), basis)
 
 
+# the least prime with 99 * (p - 1)**2 < 2**53 <= 100 * (p - 1)**2: past one
+# 64-row block, rref eliminates it in float64 blocks while min(m, n) <= 99
+# and column by column from min(m, n) = 100 on
+SWITCH_PRIME = 9490631
+
+
+@settings(max_examples=60)
+@given(
+    p=st.sampled_from((2, SWITCH_PRIME, 2147483647)),
+    m=st.integers(1, 140),
+    n=st.one_of(st.integers(1, 99), st.integers(100, 140)),
+    # low ranks leave blocks whose residual is zero, and sparse rows leave
+    # pivots for later blocks to find left of the earlier ones
+    rank=st.one_of(st.integers(0, 140), st.integers(0, 20)),
+    density=st.sampled_from((1.0, 0.03)),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(p=SWITCH_PRIME, m=130, n=99, rank=140, density=1.0, seed=0)
+@example(p=SWITCH_PRIME, m=130, n=100, rank=140, density=1.0, seed=0)
+@example(p=SWITCH_PRIME, m=140, n=90, rank=30, density=0.03, seed=1)
+@example(p=2, m=64, n=90, rank=140, density=1.0, seed=2)
+@example(p=2, m=130, n=90, rank=50, density=0.03, seed=3)
+def test_rref_matches_column_elimination_and_is_canonical(p, m, n, rank, density, seed):
+    # a product through an inner dimension of min(rank, m, n) has at most that rank
+    rng = np.random.default_rng(seed)
+    k = min(rank, m, n)
+    mat = modp.matmul_mod(rng.integers(0, p, size=(m, k)), rng.integers(0, p, size=(k, n)), p)
+    mat *= rng.random(mat.shape) < density
+    reduced, r = modp.rref(mat, p)
+    by_column = mat.copy()
+    assert r == modp._eliminate(by_column, p)
+    assert np.array_equal(reduced, by_column)
+    assert np.array_equal(modp.rref(reduced, p)[0], reduced)
+    assert np.array_equal(modp.rref(mat[rng.permutation(m)], p)[0], reduced)
+
+
 def test_rref_pivot_structure():
     for p, mat in _random_matrices():
         basis = modp.row_space(mat, p)
