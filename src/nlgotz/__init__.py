@@ -59,8 +59,11 @@ from .macaulay import (
     green_implication_scan,
     growth_slack_check,
     lower_macaulay,
+    lower_macaulay_many,
     macaulay_rep,
+    macaulay_rep_many,
     upper_macaulay,
+    upper_macaulay_many,
 )
 from .verify import (
     DEFAULT_SEED,

@@ -533,21 +533,27 @@ def koszul_middle_exact(
     D the degree of the forms spanning V, composes to zero, so it is exact
     when the incoming rank equals the outgoing nullity; at p = 0 the outgoing
     map is zero (Wedge^{-1} V = 0).  Green's vanishing theorem gives exactness
-    for k >= p + D + codim V, reported as `hypothesis_met`.  A zero middle
-    term (p < 0, p > dim V or k < 0) checks nothing and raises ValueError.
-    V must certify as base-point free first; matrices larger than
-    entry_budget entries are refused rather than approximated.
+    for k >= p + D + codim V, reported as `hypothesis_met`.  V must certify
+    as base-point free first (CertificationError otherwise).  A zero middle
+    term (p < 0, p > dim V or k < 0) checks nothing and raises ValueError;
+    matrices larger than entry_budget entries are refused rather than
+    approximated.
     """
-    nv, r = v.context.N + 1, v.dim
-    wedge = [math.comb(r, q) if q >= 0 else 0 for q in range(p_index - 1, p_index + 2)]
-    middle = wedge[1] * dim_degree(nv, k)
-    if middle == 0:
-        raise ValueError(f"Wedge^{p_index} V x S_{k} is zero for dim V = {r}: it checks nothing")
     verdict = is_basepoint_free(v, t_max=t_max)
     if verdict != "free":
         raise CertificationError(
             f"base-point-freeness must certify before Koszul checks (got {verdict!r})"
         )
+    return _koszul_strand(v, k, p_index, entry_budget)
+
+
+def _koszul_strand(v: GradedSubspace, k: int, p_index: int, entry_budget: int) -> KoszulResult:
+    """The rank comparison of `koszul_middle_exact`, for a V already certified base-point free."""
+    nv, r = v.context.N + 1, v.dim
+    wedge = [math.comb(r, q) if q >= 0 else 0 for q in range(p_index - 1, p_index + 2)]
+    middle = wedge[1] * dim_degree(nv, k)
+    if middle == 0:
+        raise ValueError(f"Wedge^{p_index} V x S_{k} is zero for dim V = {r}: it checks nothing")
     d = v.degree + v.sheaf.twists[0]
     entries = middle * max(wedge[2] * dim_degree(nv, k - d), wedge[0] * dim_degree(nv, k + d))
     if entries > entry_budget:

@@ -31,14 +31,13 @@ from .graded import (
     check_macaulay_gotzmann,
     full_space,
     is_basepoint_free,
-    koszul_middle_exact,
     lex_segment_subspace,
     random_subspace,
     restrict_to_hyperplane,
     section_dim,
     subspace_from_rows,
 )
-from .macaulay import green_implication_scan, growth_slack_check, growth_slack_sum
+from .macaulay import green_implication_scan, growth_slack_sum, upper_macaulay_many
 from .monomials import monomial_index
 
 __all__ = [
@@ -216,7 +215,9 @@ def _koszul_plan(cfg: VerifyConfig) -> list[tuple[str, graded.GradedSubspace]]:
     """Certified base-point-free subsystems of the conics on P^2.
 
     One structured witness per codimension (drop mixed monomials, keeping all
-    squares) and three certified random draws, for c = 0..3.
+    squares) and three certified random draws, for c = 0..3.  Each witness is
+    certified here, once, so the strands of `run_koszul_suite` need not
+    certify it again.
     """
     ctx = RingContext(2, cfg.prime)
     sheaf = SplitSheaf((0,))
@@ -225,17 +226,20 @@ def _koszul_plan(cfg: VerifyConfig) -> list[tuple[str, graded.GradedSubspace]]:
     mixed = [(1, 1, 0), (1, 0, 1), (0, 1, 1)]
     n = section_dim(sheaf, degree, ctx)
     plan: list[tuple[str, graded.GradedSubspace]] = []
-    plan.append(("full", full_space(ctx, sheaf, degree)))
+
+    def add_structured(label: str, v: graded.GradedSubspace) -> None:
+        if is_basepoint_free(v, cfg.t_max) != "free":
+            raise graded.CertificationError(
+                f"structured witness {label} failed to certify "
+                f"base-point-freeness within t_max = {cfg.t_max}"
+            )
+        plan.append((label, v))
+
+    add_structured("full", full_space(ctx, sheaf, degree))
     for c in (1, 2, 3):
         keep = [i for i in range(n) if i not in {idx[m] for m in mixed[:c]}]
         rows = np.eye(n, dtype=np.int64)[keep]
-        v = subspace_from_rows(ctx, sheaf, degree, rows)
-        if is_basepoint_free(v, cfg.t_max) != "free":
-            raise graded.CertificationError(
-                f"structured witness drop-mixed-c{c} failed to certify "
-                f"base-point-freeness within t_max = {cfg.t_max}"
-            )
-        plan.append((f"drop-mixed-c{c}", v))
+        add_structured(f"drop-mixed-c{c}", subspace_from_rows(ctx, sheaf, degree, rows))
         made = 0
         attempt = 0
         while made < 3:
@@ -262,9 +266,8 @@ def run_koszul_suite(cfg: VerifyConfig) -> SuiteReport:
         for p_index in (0, 1):
             start = p_index + d_form + v.codim
             for k in (start, start + 1):
-                res = koszul_middle_exact(
-                    v, k, p_index, t_max=cfg.t_max, entry_budget=cfg.entry_budget
-                )
+                # every witness of the plan is certified base-point free
+                res = graded._koszul_strand(v, k, p_index, cfg.entry_budget)
                 report.rows.append(
                     TrialRow(
                         "koszul",
@@ -301,17 +304,20 @@ def run_green_scan(cfg: VerifyConfig) -> SuiteReport:
 
 
 def run_growth_suite(cfg: VerifyConfig) -> SuiteReport:
-    """Exhaustive check of the slack growth bound over its whole domain."""
+    """Exhaustive check of the slack growth bound over its whole domain.
+
+    Row (n, e) counts the c < growth_slack_sum(n, e) with c^<n> > c + e.  The
+    sums for one n are prefixes of 0..(n + 1)(n + 2)/2 - 1, the largest, so
+    c^<n> is computed once over that range and each row reads a prefix.
+    """
     report = SuiteReport("growth")
     t = 0
     for n in range(1, cfg.n_max + 1):
+        cs = np.arange(growth_slack_sum(n, n))
+        ups = upper_macaulay_many(cs, n)
         for e in range(0, n + 2):
             slack_sum = growth_slack_sum(n, e)
-            bad = 0
-            for c in range(0, slack_sum):
-                chk = growth_slack_check(c, n, e)
-                if not (chk.hypothesis_met and chk.bound_holds):
-                    bad += 1
+            bad = int(np.count_nonzero(ups[:slack_sum] > cs[:slack_sum] + e))
             report.rows.append(
                 TrialRow(
                     "growth",

@@ -1,10 +1,13 @@
 """Binomial expansions and growth bounds against independent oracles."""
 
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from nlgotz import macaulay
 from nlgotz.macaulay import (
     GrowthSlackCheck,
     MacaulayRep,
@@ -12,8 +15,11 @@ from nlgotz.macaulay import (
     green_implication_scan,
     growth_slack_check,
     lower_macaulay,
+    lower_macaulay_many,
     macaulay_rep,
+    macaulay_rep_many,
     upper_macaulay,
+    upper_macaulay_many,
 )
 
 from oracles import all_decompositions, pascal_binom
@@ -163,9 +169,99 @@ def test_green_scan_small_domain_is_empty():
     assert green_implication_scan(50, 1) == []
 
 
+def test_green_scan_reports_a_planted_violation(monkeypatch):
+    # one less c_<2> at c = 20 (it is 14): c' = 14 still meets the premise
+    # 14 <= 14_<2> + 6_<1>, so (20, 14, 2) must come back, and nothing else
+    real = macaulay._lower_table
+    assert real(30, 2)[20] == 14
+
+    def planted(c_max, d):
+        table = real(c_max, d).copy()
+        if d == 2:
+            table[20] -= 1
+        return table
+
+    monkeypatch.setattr(macaulay, "_lower_table", planted)
+    assert green_implication_scan(30, 3) == [(20, 14, 2)]
+
+
+def _padded(c, d):
+    ks = macaulay_rep(c, d).ks
+    return list(ks) + [0] * (d - len(ks))
+
+
+def test_many_equal_the_scalar_functions_below_3000():
+    cs = np.arange(3000)
+    for d in range(1, 13):
+        ks = macaulay_rep_many(cs, d)
+        assert ks.dtype == np.int64 and ks.shape == (3000, d)
+        assert ks.tolist() == [_padded(c, d) for c in range(3000)]
+        assert upper_macaulay_many(cs, d).tolist() == [upper_macaulay(c, d) for c in range(3000)]
+        assert lower_macaulay_many(cs, d).tolist() == [lower_macaulay(c, d) for c in range(3000)]
+
+
+def test_many_edge_contract():
+    for fn in (macaulay_rep_many, upper_macaulay_many, lower_macaulay_many):
+        with pytest.raises(ValueError):
+            fn([3, -1], 2)
+        with pytest.raises(ValueError):
+            fn([3], 0)
+        with pytest.raises(ValueError):
+            fn([], 0)
+        # past int64, as a Python int or as uint64
+        with pytest.raises(ValueError):
+            fn([2**64], 3)
+        with pytest.raises(ValueError):
+            fn(np.array([2**63], dtype=np.uint64), 3)
+    assert macaulay_rep_many([], 4).shape == (0, 4)
+    assert upper_macaulay_many([], 4).shape == lower_macaulay_many([], 4).shape == (0,)
+    assert macaulay_rep_many([0], 5).tolist() == [[0] * 5]
+    assert upper_macaulay_many([0], 5).tolist() == lower_macaulay_many([0], 5).tolist() == [0]
+    # degree one: k_1 = c, c^<1> = C(c + 1, 2), c_<1> = c - 1
+    cs = np.array([0, 1, 7, 2**31 + 5, 2**32 - 1])
+    assert macaulay_rep_many(cs, 1)[:, 0].tolist() == cs.tolist()
+    assert upper_macaulay_many(cs, 1).tolist() == [c * (c + 1) // 2 for c in cs.tolist()]
+    assert lower_macaulay_many(cs, 1).tolist() == [0, 0, 6, 2**31 + 4, 2**32 - 2]
+    # C(2^32 + 1, 2) = 2^63 + 2^31 is past int64: refused, never wrapped
+    with pytest.raises(ValueError, match="int64"):
+        upper_macaulay_many([5, 2**32], 1)
+    top = 2**63 - 1
+    assert lower_macaulay_many([top], 1).tolist() == [top - 1]
+    assert macaulay_rep_many([top], 2)[0].tolist() == _padded(top, 2)
+
+
+def test_huge_c_stays_fast_with_bounded_tables():
+    for d in (2, 3):
+        t0 = time.perf_counter()
+        rep = macaulay_rep(10**40, d)
+        assert time.perf_counter() - t0 < 1.0
+        assert rep.value() == 10**40
+        assert all(a > b for a, b in zip(rep.ks, rep.ks[1:]))
+    for d in (1, 2, 3):
+        macaulay_rep_many([2**63 - 1, 2**40], d)
+        lower_macaulay_many([2**63 - 1, 2**40], d)
+    # degrees 1 and 2 need no table, and no table outgrows the cap
+    assert 1 not in macaulay._tables and 2 not in macaulay._tables
+    assert all(len(t) <= macaulay._TABLE_CAP for t in macaulay._tables.values())
+
+
 # small c exercises short expansions, large c long ones with big k_d
 _cs = st.one_of(st.integers(0, 500), st.integers(0, 10**12))
 _ds = st.integers(1, 12)
+# below and above the int64 sweep limit, up to the largest int64
+_int64_cs = st.one_of(st.integers(0, 3000), st.integers(0, 2**31 + 10), st.integers(0, 2**63 - 1))
+
+
+@given(cs=st.lists(_int64_cs, max_size=12), d=_ds)
+def test_many_equal_the_scalar_functions(cs, d):
+    assert macaulay_rep_many(cs, d).tolist() == [_padded(c, d) for c in cs]
+    assert lower_macaulay_many(cs, d).tolist() == [lower_macaulay(c, d) for c in cs]
+    uppers = [upper_macaulay(c, d) for c in cs]
+    if max(uppers, default=0) <= 2**63 - 1:
+        assert upper_macaulay_many(cs, d).tolist() == uppers
+    else:
+        with pytest.raises(ValueError, match="int64"):
+            upper_macaulay_many(cs, d)
 
 
 @given(c=_cs, d=_ds)

@@ -3,8 +3,10 @@
 import numpy as np
 import pytest
 
+from nlgotz import graded, verify
 from nlgotz.bounds import ThreefoldInvariants
 from nlgotz.catalog import CatalogRecord
+from nlgotz.macaulay import growth_slack_check, growth_slack_sum
 from nlgotz.verify import (
     SUITES,
     SuiteReport,
@@ -58,6 +60,29 @@ def test_koszul_suite_plan_size():
     assert rep.total == 52
 
 
+def test_koszul_suite_certifies_each_witness_once(monkeypatch):
+    certified = []
+    real = graded.is_basepoint_free
+
+    def counting(v, t_max=6, scan_limit=2_000_000):
+        verdict = real(v, t_max, scan_limit)
+        if verdict == "free":
+            certified.append(id(v))
+        return verdict
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a strand certified its witness again")
+
+    monkeypatch.setattr(verify, "is_basepoint_free", counting)
+    plan = verify._koszul_plan(SMALL)
+    assert sorted(certified) == sorted(id(v) for _, v in plan) and len(plan) == 13
+    certified.clear()
+    monkeypatch.setattr(graded, "is_basepoint_free", refuse)
+    rep = run_suite("koszul", SMALL)
+    assert rep.all_passed and rep.total == 52
+    assert len(certified) == 13
+
+
 def test_green_scan_suite():
     rep = run_suite("green-scan", SMALL)
     assert rep.all_passed and rep.total == 1
@@ -68,6 +93,49 @@ def test_growth_suite_small():
     rep = run_suite("growth", SMALL)
     assert rep.all_passed
     assert rep.total == sum(n + 2 for n in range(1, SMALL.n_max + 1))
+
+
+def _scalar_growth_rows(n_max):
+    """The growth suite's rows from one growth_slack_check per (c, n, e)."""
+    rows = []
+    for n in range(1, n_max + 1):
+        for e in range(0, n + 2):
+            slack_sum = growth_slack_sum(n, e)
+            bad = 0
+            for c in range(slack_sum):
+                chk = growth_slack_check(c, n, e)
+                bad += not (chk.hypothesis_met and chk.bound_holds)
+            params, observed = f"n={n};e={e}", f"violations={bad}"
+            rows.append(TrialRow("growth", len(rows), params, observed, f"cases={slack_sum}", bad == 0))
+    return rows
+
+
+def test_growth_suite_equals_the_scalar_loop():
+    assert run_suite("growth", SMALL).rows == _scalar_growth_rows(SMALL.n_max)
+
+
+def test_growth_suite_reports_a_planted_violation(monkeypatch):
+    # c^<n> raised past c + n + 1, the loosest bound any slack e allows, at one c:
+    # exactly the rows whose prefix 0..slack_sum - 1 reaches that c must fail
+    planted_c = 12
+    real = verify.upper_macaulay_many
+
+    def planted(cs, n):
+        ups = real(cs, n)
+        if planted_c < len(ups):
+            ups[planted_c] = planted_c + n + 2
+        return ups
+
+    monkeypatch.setattr(verify, "upper_macaulay_many", planted)
+    rows = run_suite("growth", SMALL).rows
+    assert [r.params for r in rows] == [r.params for r in _scalar_growth_rows(SMALL.n_max)]
+    failed = 0
+    for row in rows:
+        n, e = (int(part.split("=")[1]) for part in row.params.split(";"))
+        covers = growth_slack_sum(n, e) > planted_c
+        assert row.observed == f"violations={int(covers)}" and row.passed == (not covers)
+        failed += covers
+    assert 0 < failed < len(rows)
 
 
 def test_thresholds_suite():
