@@ -19,7 +19,7 @@ import numpy as np
 
 from . import modp
 from .macaulay import lower_macaulay, upper_macaulay
-from .monomials import dim_degree, lead_divisions, product_table
+from .monomials import dim_degree, exponent_table, lead_divisions, product_table
 
 __all__ = [
     "RingContext",
@@ -48,6 +48,8 @@ __all__ = [
 
 DEFAULT_PRIME = 101
 RETRY_CAP = 16
+# points evaluated at once by the rational-point scan
+_CHUNK = 65536
 
 
 class GenericityError(RuntimeError):
@@ -134,7 +136,8 @@ class GradedSubspace:
 
     def __post_init__(self):
         n = section_dim(self.sheaf, self.degree, self.context)
-        b = modp.row_space(np.asarray(self.basis).reshape(-1, n), self.context.p)
+        rows = np.atleast_2d(self.basis)
+        b = modp.row_space(rows.reshape(len(rows), n), self.context.p)
         b.setflags(write=False)
         object.__setattr__(self, "basis", b)
 
@@ -421,26 +424,106 @@ def _seeded_rng(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
 
 
-def _evaluate_at_points(
-    basis: np.ndarray, degree: int, pts: np.ndarray, p: int
-) -> np.ndarray:
-    """Values of each basis row at each point, as a (rows x points) matrix.
+def _power_table(a: np.ndarray, width: int, p: int) -> np.ndarray:
+    """W[e, j] = a_j^e mod p for 0 <= e < width (0^0 = 1)."""
+    w = np.empty((width, a.size), dtype=np.int64)
+    w[0] = 1
+    for e in range(1, width):
+        np.multiply(w[e - 1], a, out=w[e])
+        np.remainder(w[e], p, out=w[e])
+    return w
 
-    `pts` holds one coordinate per row (coordinates x points).  The values of
-    the monomials of each degree are built from those one degree lower
-    (`lead_divisions`), at one modular multiply per monomial; the top degree
-    is written straight into float64 for the product with the basis.
+
+def _chart_forms(
+    basis: np.ndarray, exponents: np.ndarray, lead: int, width: int, p: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """The basis forms on chart `lead`, as polynomials in its k affine coordinates.
+
+    Chart `lead` holds the points (0, ..., 0, 1, a) with a in F_p^k,
+    k = N - lead.  A monomial divisible by one of x_0, ..., x_{lead-1} is
+    zero there, and any other x^e takes the value a^(e_{lead+1}, ..., e_N).
+    As functions on F_p, a^e = a^(e') with e' = (e - 1) mod (p - 1) + 1 for
+    e >= p, so every exponent folds below width = min(d + 1, p), where
+    distinct polynomials are distinct functions.  Returns the folded
+    exponent vectors that occur, as base-`width` keys (most significant
+    digit first), and each form's coefficients on them (rows x keys).
     """
-    nv = pts.shape[0]
-    vals = np.ones((1, pts.shape[1]), dtype=np.int64)
-    for d in range(1, degree + 1):
-        var, quotient = lead_divisions(nv, d)
-        prod = vals[quotient]
-        prod *= pts[var]
-        vals = np.empty(prod.shape, dtype=np.float64 if d == degree else np.int64)
-        np.remainder(prod, p, out=vals)
-        del prod
-    return modp._dot(basis, vals, p)
+    k = exponents.shape[1] - 1 - lead
+    on_chart = ~exponents[:, :lead].any(axis=1)
+    e = exponents[on_chart, lead + 1 :]
+    e = np.where(e < p, e, (e - 1) % (p - 1) + 1)
+    keys, where = np.unique(e @ width ** np.arange(k - 1, -1, -1), return_inverse=True)
+    coef = np.zeros((keys.size, basis.shape[0]), dtype=np.int64)
+    np.add.at(coef, where, basis[:, on_chart].T)
+    np.remainder(coef, p, out=coef)
+    return keys, coef.T
+
+
+def _grid_values(
+    keys: np.ndarray, row: np.ndarray, k: int, width: int, p: int, first: np.ndarray
+) -> np.ndarray:
+    """Values of one chart form at the points a of F_p^k with a_1 in `first`.
+
+    The points come in lex order, a_1 most significant.  The coefficients
+    fill a width^k tensor, and each product with a power table turns its
+    leading exponent axis into a trailing coordinate axis: e_1 over
+    `first`, then e_2, ..., e_k over all of F_p.
+    """
+    t = np.zeros(width**k, dtype=np.int64)
+    t[keys] = row
+    for i in range(k):
+        a = np.arange(p, dtype=np.int64) if i else first
+        t = modp._dot(t.reshape(width, -1).T, _power_table(a, width, p), p)
+    return t.reshape(-1)
+
+
+def _point_values(
+    keys: np.ndarray, coef: np.ndarray, k: int, width: int, p: int, idx: np.ndarray
+) -> np.ndarray:
+    """Values of the chart forms `coef` at the grid points `idx`, as (rows x points)."""
+    mons = np.ones((keys.size, idx.size), dtype=np.int64)
+    for i in range(k):
+        w = _power_table(idx // p ** (k - 1 - i) % p, width, p)
+        mons *= w[keys // width ** (k - 1 - i) % width]
+        np.remainder(mons, p, out=mons)
+    return modp._dot(coef, mons, p)
+
+
+def _has_rational_base_point(v: GradedSubspace, points: int) -> bool:
+    """Whether the forms of V share a zero in P^N(F_p), which has `points` points.
+
+    Scans chart by chart.  On each, the first form that is not zero on the
+    chart is evaluated on the whole grid, and the others only at its zeros.
+    Both go in pieces of at most 65,536 points (whole slabs of a_1 on the
+    grid, where one slab is that small), and fewer where a piece would need
+    more than `points` values or power-table entries.  A chart on which
+    every form is zero is all base points.
+    """
+    nv, p = v.context.N + 1, v.context.p
+    degree = v.degree + v.sheaf.twists[0]
+    exponents = exponent_table(nv, degree)
+    width = min(degree + 1, p)
+    for lead in range(nv):
+        k = nv - 1 - lead
+        keys, coef = _chart_forms(v.basis, exponents, lead, width, p)
+        live = np.flatnonzero(coef.any(axis=1))
+        if live.size == 0:
+            return True
+        if k == 0:
+            continue  # the one point [0 : ... : 0 : 1], where the first live form is nonzero
+        rest = coef[live[1:]]
+        tail = p ** (k - 1)
+        slab = max(1, min(p, _CHUNK // tail, points // width))
+        chunk = max(1, min(_CHUNK, points // max(width, *coef.shape)))
+        for a1 in range(0, p, slab):
+            first = np.arange(a1, min(a1 + slab, p), dtype=np.int64)
+            vals = _grid_values(keys, coef[live[0]], k, width, p, first)
+            zeros = a1 * tail + np.flatnonzero(vals == 0)
+            for start in range(0, zeros.size, chunk):
+                vals = _point_values(keys, rest, k, width, p, zeros[start : start + chunk])
+                if not vals.any(axis=0).all():
+                    return True
+    return False
 
 
 def is_basepoint_free(
@@ -449,40 +532,34 @@ def is_basepoint_free(
     """Certify base-point-freeness of a line-bundle subsystem, if possible.
 
     Returns "free" when mu(V x S_t) fills the ambient space for some
-    t <= t_max (the section ring saturates, so no base point can exist),
-    "not_free" when a common zero is found among the rational points of
-    P^N(F_p), and "inconclusive" otherwise.  The rational-point scan is
-    skipped when P^N(F_p) has more than scan_limit points.
+    t <= t_max, t = 0 included (the section ring saturates, so no base point
+    can exist), "not_free" when a common zero is found among the rational
+    points of P^N(F_p), and "inconclusive" otherwise.  The rational-point
+    scan evaluates the forms chart by chart on the whole F_p grid, with a
+    one-form sieve: on the chart of points (0, ..., 0, 1, a), a in F_p^k,
+    one form costs about p^k (d + 1) multiply-adds through k products with
+    a power table, and the others are evaluated only at its zeros.  The
+    scan is skipped when P^N(F_p) has more than scan_limit points.
     """
     if len(v.sheaf.twists) != 1:
         raise ValueError("base-point-freeness is checked for a single line bundle")
+    if t_max < 0 or scan_limit < 0:
+        raise ValueError(f"t_max = {t_max} and scan_limit = {scan_limit} must be nonnegative")
     if v.dim == 0:
         return "not_free"
+    if v.codim == 0:
+        return "free"
     w = v
     for _ in range(t_max):
         w = _times_linear_forms(w)
         if w.codim == 0:
             return "free"
-    ctx = v.context
-    p, nv = ctx.p, ctx.N + 1
-    total_points = (p ** nv - 1) // (p - 1)
-    if total_points > scan_limit:
+    p = v.context.p
+    points = (p ** (v.context.N + 1) - 1) // (p - 1)
+    if points > scan_limit:
         return "inconclusive"
-    degree = v.degree + v.sheaf.twists[0]
-    chunk = 65536
-    for lead in range(nv):
-        span = p ** (nv - 1 - lead)
-        for start in range(0, span, chunk):
-            idx = np.arange(start, min(start + chunk, span), dtype=np.int64)
-            pts = np.zeros((nv, idx.size), dtype=np.int64)
-            pts[lead] = 1
-            rem = idx
-            for j in range(nv - 1, lead, -1):
-                pts[j] = rem % p
-                rem = rem // p
-            vals = _evaluate_at_points(v.basis, degree, pts, p)
-            if not np.all(vals.any(axis=0)):
-                return "not_free"
+    if _has_rational_base_point(v, points):
+        return "not_free"
     # no rational base point; there may still be one over an extension field
     return "inconclusive"
 

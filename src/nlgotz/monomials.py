@@ -18,6 +18,7 @@ __all__ = [
     "dim_degree",
     "monomials",
     "monomial_index",
+    "exponent_table",
     "shift_table",
     "product_table",
     "lead_divisions",
@@ -52,6 +53,14 @@ def monomials(num_vars: int, degree: int) -> tuple[tuple[int, ...], ...]:
 def monomial_index(num_vars: int, degree: int) -> dict[tuple[int, ...], int]:
     """Exponent tuple -> position in the descending lex enumeration."""
     return {e: i for i, e in enumerate(monomials(num_vars, degree))}
+
+
+@lru_cache(maxsize=None)
+def exponent_table(num_vars: int, degree: int) -> np.ndarray:
+    """The exponent tuples of `monomials`, one row each (monomials x variables)."""
+    table = np.array(monomials(num_vars, degree), dtype=np.int64).reshape(-1, num_vars)
+    table.setflags(write=False)
+    return table
 
 
 @lru_cache(maxsize=None)

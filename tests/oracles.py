@@ -2,12 +2,16 @@
 
 Nothing in this module imports from nlgotz.  Binomials come from the
 Pascal recurrence, expansions from exhaustive search, matrix ranks and
-reduced echelon forms from sympy's exact GF(p) arithmetic, and polynomial
-images from dict-based exponent bookkeeping.  Tests compare package output
+reduced echelon forms from sympy's exact GF(p) arithmetic, polynomial
+images from dict-based exponent bookkeeping, and rational base points from
+evaluating at every point of P^N(F_p).  Tests compare package output
 against these slower but independently derived answers.
 """
 
 from __future__ import annotations
+
+import itertools
+import math
 
 from sympy.polys.domains import GF
 from sympy.polys.matrices import DomainMatrix
@@ -173,3 +177,24 @@ def substitute_last_variable(poly: dict, mu: tuple[int, ...], p: int) -> dict:
             new = tuple(b + g for b, g in zip(base, gamma)) + (0,)
             out[new] = (out.get(new, 0) + term) % p
     return {e: c for e, c in out.items() if c}
+
+
+def form_value(exponents, row, point, p: int) -> int:
+    """sum(c * x^e) at `point`, mod p, in Python integers."""
+    terms = zip(row, exponents)
+    return sum(int(c) * math.prod(x**e for x, e in zip(point, expo)) for c, expo in terms) % p
+
+
+def rational_common_zero(exponents, rows, p: int, N: int):
+    """A point of P^N(F_p) where every row vanishes, or None, by exhaustion.
+
+    `exponents` lists the exponent tuple of each column.  The points are
+    enumerated normalized, first nonzero coordinate 1, so each point of
+    P^N(F_p) is tried exactly once.
+    """
+    for lead in range(N + 1):
+        for tail in itertools.product(range(p), repeat=N - lead):
+            point = (0,) * lead + (1,) + tail
+            if all(form_value(exponents, row, point, p) == 0 for row in rows):
+                return point
+    return None

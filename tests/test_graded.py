@@ -6,7 +6,6 @@ package's scatter-matrix machinery.
 """
 
 import itertools
-import math
 
 import numpy as np
 import pytest
@@ -35,10 +34,12 @@ from nlgotz.graded import (
     zero_subspace,
 )
 from nlgotz.macaulay import upper_macaulay
-from nlgotz.monomials import dim_degree, monomial_index, monomials
+from nlgotz.monomials import dim_degree, monomial_index, monomials, unit_exponent
 
 from oracles import (
+    form_value,
     gfp_rref,
+    rational_common_zero,
     substitute_last_variable,
     vector_times_var,
     vectors_rank,
@@ -334,26 +335,111 @@ def test_basepoint_free_verdicts():
     assert is_basepoint_free(lex_segment_subspace(1, 2, ctx)) == "not_free"
 
 
-def test_point_values_match_direct_evaluation():
-    # cubics on P^3 (a twisted quadric system), at seeded points
-    ctx = RingContext(3, P)
-    rng = np.random.default_rng(9)
-    v = random_subspace(ctx, SplitSheaf((1,)), 2, rng, dim=6)
-    pts = rng.integers(0, P, size=(4, 40)).astype(np.int64)
-    got = graded._evaluate_at_points(v.basis, 3, pts, P)
-    want = []
-    for row in v.basis:
-        want.append(
-            [
-                sum(
-                    int(c) * math.prod(int(x) ** k for x, k in zip(pts[:, j], e))
-                    for c, e in zip(row, monomials(4, 3))
-                )
-                % P
-                for j in range(pts.shape[1])
+def test_chart_values_match_direct_evaluation():
+    # cubics on P^3 (a twisted quadric system), at every point of every
+    # chart; at p = 3 the exponents fold, since a^3 = a on F_3
+    for p in (3, 13):
+        ctx = RingContext(3, p)
+        v = random_subspace(ctx, SplitSheaf((1,)), 2, np.random.default_rng(9), dim=6)
+        mons = monomials(4, 3)
+        width = min(4, p)
+        for lead in range(4):
+            k = 3 - lead
+            points = [(0,) * lead + (1,) + a for a in itertools.product(range(p), repeat=k)]
+            want = [[form_value(mons, row, x, p) for x in points] for row in v.basis]
+            keys, coef = graded._chart_forms(v.basis, graded.exponent_table(4, 3), lead, width, p)
+            for first in (np.arange(p), np.arange(1, p)):
+                # a slab of a_1 values gives the matching slice of the grid
+                skip = (p - first.size) * p ** max(k - 1, 0) if k else 0
+                got = [graded._grid_values(keys, row, k, width, p, first) for row in coef]
+                assert [g.tolist() for g in got] == [row[skip:] for row in want]
+            idx = np.arange(p**k, dtype=np.int64)
+            assert graded._point_values(keys, coef, k, width, p, idx).tolist() == want
+
+
+def _vanishing_on_rational_points(N, p):
+    """Coefficient row of x0^p x1 - x0 x1^p, zero at every point of P^N(F_p)."""
+    idx = monomial_index(N + 1, p + 1)
+    row = np.zeros(len(idx), dtype=np.int64)
+    row[idx[(p, 1) + (0,) * (N - 1)]] = 1
+    row[idx[(1, p) + (0,) * (N - 1)]] = p - 1
+    return row
+
+
+@pytest.mark.parametrize("N", [0, 1, 2, 3])
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_basepoint_scan_matches_brute_force(p, N):
+    ctx = RingContext(N, p)
+    sheaf = SplitSheaf((0,))
+    rng = np.random.default_rng(100 * p + N)
+    seen = set()
+    for d in range(1, p + 2):
+        mons = monomials(N + 1, d)
+        n = len(mons)
+        systems = [rng.integers(0, p, size=(r, n)) for r in range(1, N + 2)]
+        # a base point planted on each chart, the last one being [0 : ... : 0 : 1]
+        for lead in range(N + 1):
+            point = (0,) * lead + (1,) + tuple(int(a) for a in rng.integers(0, p, size=N - lead))
+            rows = rng.integers(0, p, size=(N + 1, n))
+            rows[:, mons.index(tuple(d * x for x in unit_exponent(N + 1, lead)))] -= [
+                form_value(mons, row, point, p) for row in rows
             ]
-        )
-    assert got.tolist() == want
+            systems.append(rows % p)
+        # divisible by x0: every form is zero on every chart past the first
+        systems.append(rng.integers(0, p, size=(N + 1, n)) * [e[0] > 0 for e in mons])
+        if N >= 1 and d == p + 1:
+            # zero at every rational point, but not as a polynomial
+            vanish = _vanishing_on_rational_points(N, p)
+            systems.append(vanish[None, :])
+            tail = rng.integers(0, p, size=n) * [e[0] < d - 1 for e in mons]
+            systems.append(np.stack([vanish, tail]))
+        for rows in systems:
+            v = subspace_from_rows(ctx, sheaf, d, rows)
+            got = is_basepoint_free(v, t_max=1)
+            if rational_common_zero(mons, rows.tolist(), p, N) is not None:
+                assert got == "not_free", (d, rows.tolist())
+            elif len(rows) <= N:
+                # N forms or fewer share a zero over the algebraic closure
+                assert got == "inconclusive", (d, rows.tolist())
+            else:
+                assert got in ("free", "inconclusive"), (d, rows.tolist())
+            seen.add(got)
+    assert "not_free" in seen
+
+
+def test_basepoint_scan_on_a_million_points():
+    # P^1(F_p) at p = 1,000,003 has p + 1 points, under the default scan_limit
+    p = 1_000_003
+    ctx = RingContext(1, p)
+    sheaf = SplitSheaf((0,))
+    idx = monomial_index(2, 2)
+
+    def quadric(a, b, c):  # a x0^2 + b x0 x1 + c x1^2
+        row = np.zeros(3, dtype=np.int64)
+        row[[idx[(2, 0)], idx[(1, 1)], idx[(0, 2)]]] = a, b, c
+        return subspace_from_rows(ctx, sheaf, 2, row[None, :] % p)
+
+    # (x1 - a x0)^2 for a = p - 1: the only base point is the last grid point of the chart x0 = 1
+    a = p - 1
+    assert is_basepoint_free(quadric(a * a, -2 * a, 1)) == "not_free"
+    # x1^2 - n x0^2 for a non-residue n has no rational zero
+    n = next(n for n in range(2, p) if pow(n, (p - 1) // 2, p) == p - 1)
+    assert is_basepoint_free(quadric(-n, 0, 1)) == "inconclusive"
+
+
+def test_basepoint_free_edges():
+    # H^0(O(-2)) = 0: no sections, so every point is a base point
+    ctx = RingContext(2)
+    for v in (zero_subspace(ctx, SplitSheaf((-3,)), 1), full_space(ctx, SplitSheaf((-3,)), 1)):
+        assert (v.dim, v.codim) == (0, 0)
+        assert is_basepoint_free(v) == "not_free"
+    # the full space saturates before any multiplication
+    v = full_space(RingContext(2, 5), SplitSheaf((0,)), 1)
+    assert is_basepoint_free(v, t_max=0) == "free"
+    assert is_basepoint_free(_squares(RingContext(2, 5)), t_max=0) == "inconclusive"
+    for kwargs in ({"t_max": -1}, {"scan_limit": -5}, {"t_max": -1, "scan_limit": -5}):
+        with pytest.raises(ValueError, match="nonnegative"):
+            is_basepoint_free(v, **kwargs)
 
 
 def test_basepoint_free_inconclusive_paths():

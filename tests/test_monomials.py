@@ -4,6 +4,7 @@ import pytest
 
 from nlgotz.monomials import (
     dim_degree,
+    exponent_table,
     lead_divisions,
     monomial_index,
     monomials,
@@ -52,6 +53,9 @@ def test_monomial_index_roundtrip():
             idx = monomial_index(nv, d)
             for j, e in enumerate(monomials(nv, d)):
                 assert idx[e] == j
+            table = exponent_table(nv, d)
+            assert table.shape == (dim_degree(nv, d), nv) and not table.flags.writeable
+            assert [tuple(row) for row in table.tolist()] == list(monomials(nv, d))
 
 
 def test_shift_table_is_exponent_addition():
