@@ -136,7 +136,11 @@ class GradedSubspace:
 
     def __post_init__(self):
         n = section_dim(self.sheaf, self.degree, self.context)
-        rows = np.atleast_2d(self.basis)
+        rows = np.asarray(self.basis)
+        if rows.ndim == 1 and rows.size == 0:
+            # `[]` holds no rows, not one row of length 0
+            rows = rows.reshape(0, n)
+        rows = np.atleast_2d(rows)
         b = modp.row_space(rows.reshape(len(rows), n), self.context.p)
         b.setflags(write=False)
         object.__setattr__(self, "basis", b)

@@ -7,8 +7,9 @@ k * (p - 1)**2, the largest dot product it can form: float64 BLAS below
 2**53, int64 below 2**62, Python integers above.  Row reduction eliminates
 blocks of rows with float64 products where every product it forms is below
 2**53, and finishes each block, each small matrix and every other case
-column by column in int64, where every intermediate stays below
-p**2 < 2**62.
+column by column in int64.  That elimination reduces mod p lazily: an entry
+falls by at most (p - 1)**2 per step, and the matrix is reduced before the
+unreduced steps could take an entry below -2**62 (see `_lazy_window`).
 """
 
 from __future__ import annotations
@@ -49,9 +50,29 @@ def check_prime(p: int) -> int:
     return p
 
 
+def _int_mod(x, p: int) -> int:
+    """x mod p for a value equal to an integer; anything else raises ValueError."""
+    try:
+        v = int(x)
+    except (TypeError, ValueError, OverflowError):
+        v = None
+    if v is None or v != x:
+        raise ValueError(f"{x!r} is not an integer")
+    return v % p
+
+
 def asmod(mat: np.ndarray, p: int) -> np.ndarray:
-    """Copy of `mat` as a C-contiguous int64 array with entries in [0, p)."""
-    a = np.array(mat, dtype=np.int64, order="C", copy=True)
+    """Copy of `mat` as a C-contiguous int64 array with entries in [0, p).
+
+    Integers of any size, Python integers in an object array included, are
+    reduced exactly; a value that is not an integer raises ValueError.
+    """
+    a = np.asarray(mat)
+    kind = a.dtype.kind
+    if kind not in "bi" and not (kind == "u" and a.itemsize < 8):
+        # floats, uint64 and objects: reduce each value before the cast
+        a = np.array([_int_mod(x, p) for x in a.flat], dtype=np.int64).reshape(a.shape)
+    a = np.array(a, dtype=np.int64, order="C", copy=True)
     if a.ndim == 1:
         a = a.reshape(1, -1)
     np.remainder(a, p, out=a)
@@ -93,54 +114,122 @@ def _dot(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     return (a.astype(object) @ b.astype(object) % p).astype(np.int64)
 
 
+def _lazy_window(p: int) -> int:
+    """Elimination steps whose unreduced updates int64 holds exactly at prime p.
+
+    Each step subtracts products of two entries in [0, p), each at most
+    (p - 1)**2, so after s steps an entry lies in (-s * (p - 1)**2, p).  That
+    stays above -2**62 for s up to (2**62 - p) // (p - 1)**2: about 4.5e14
+    steps at p = 101, 3 at p = 1073741827 and 1 at p = 2**31 - 1.
+    """
+    return (_I64_EXACT - p) // ((p - 1) * (p - 1))
+
+
 def _eliminate(a: np.ndarray, p: int) -> int:
     """Column-by-column Gauss-Jordan elimination of `a` in place; returns the rank.
 
-    `a` is a C-contiguous int64 array with entries in [0, p).  Products stay
-    below p**2 < 2**62, so this is exact for every p < 2**31.
+    `a` is a C-contiguous int64 array with entries in [0, p).  Reduction mod
+    p is delayed: each step reduces only the pivot column, for the pivot
+    search and the multipliers, and the pivot row, then subtracts multiplier
+    times pivot row from each row whose multiplier is nonzero and leaves the
+    differences unreduced.  The whole matrix is reduced once the steps since
+    the last reduction reach `_lazy_window(p)`, and at the end, so the result
+    is exact for every p < 2**31.  Where that window is one step, the
+    updated rows are reduced at each step instead.
     """
     m, n = a.shape
+    window = _lazy_window(p)
     r = 0
+    lazy = 0
     for c in range(n):
         if r == m:
             break
-        nz = np.nonzero(a[r:, c])[0]
-        if nz.size == 0:
+        col = a[:, c] % p
+        nz = col.nonzero()[0]
+        i = int(nz.searchsorted(r))
+        if i == nz.size:
             continue
-        piv = r + int(nz[0])
+        piv = int(nz[i])
         if piv != r:
             a[[r, piv]] = a[[piv, r]]
-        inv = pow(int(a[r, c]), -1, p)
+        row = a[r, c:] % p
+        inv = pow(int(col[piv]), -1, p)
         if inv != 1:
-            a[r, c:] = a[r, c:] * inv % p
-        rows = np.nonzero(a[:, c])[0]
-        rows = rows[rows != r]
-        if rows.size:
-            a[rows, c:] = (a[rows, c:] - np.outer(a[rows, c], a[r, c:])) % p
+            row *= inv
+            row %= p
+        a[r, c:] = row
+        if nz.size > 1:
+            # the multiplier at nz[i] is zeroed: that row is the pivot row
+            # when piv == r and, after the swap, the old row r, which is
+            # zero in column c, when not
+            mult = col[nz]
+            mult[i] = 0
+            upd = a[nz, c:] - mult[:, None] * row
+            if window == 1:
+                np.remainder(upd, p, out=upd)
+            else:
+                lazy += 1
+            a[nz, c:] = upd
+            if lazy == window:
+                np.remainder(a, p, out=a)
+                lazy = 0
         r += 1
+    if lazy:
+        np.remainder(a, p, out=a)
     return r
+
+
+def _reduced_prefix(a: np.ndarray) -> np.ndarray:
+    """Pivot columns of the longest run of leading rows of `a` that is an RREF basis.
+
+    `a` holds reduced entries.  The rows of such a run are nonzero with
+    leading entry 1, their pivots increase, and each pivot column is zero
+    in the other rows of the run.
+    """
+    n = a.shape[1]
+    # its pivots increase, so a run has at most n rows
+    nonzero = a[:n] != 0
+    lead = nonzero.argmax(axis=1)
+    # a zero row has lead 0 and a[i, 0] == 0, so it fails the first test
+    ok = a[np.arange(lead.size), lead] == 1
+    ok[1:] &= lead[1:] > lead[:-1]
+    k = lead.size if ok.all() else int(np.argmin(ok))
+    if k > 1:
+        # the k x k block on the pivot columns is unit upper triangular, as
+        # each row is zero left of its pivot: a pivot column may hold no
+        # other nonzero, which could only sit in a row above the pivot
+        above = np.count_nonzero(nonzero[:k, lead[:k]], axis=0) > 1
+        if above.any():
+            k = int(np.argmax(above))
+    return lead[:k]
 
 
 def _rref_inplace(a: np.ndarray, p: int) -> int:
     """Reduce `a` to reduced row echelon form mod p and return its rank.
 
-    `a` is a C-contiguous int64 array with entries in [0, p).  Rows are
-    taken in blocks of `_BLOCK`: each block is reduced against the basis
-    found so far with one product, its residual is eliminated column by
-    column on the columns where it is nonzero, and the new pivots are
-    back-substituted into the basis rows that meet them.  The basis is kept
-    in the leading rows of `a` and sorted by pivot at the end.  RREF is
-    canonical, so the result is the one column-by-column elimination gives.
-    Every product here has inner dimension at most min(m, n); small
-    matrices, and sizes and primes where such a product would not be exact
-    in float64, take that elimination directly.
+    `a` is a C-contiguous int64 array with entries in [0, p).  The longest
+    run of leading rows that is already an RREF basis (`_reduced_prefix`)
+    is kept as the basis found so far: a stack that starts with a reduced
+    basis, such as x_0 * B on top of the other shifts of B, is only reduced
+    below it, and a matrix already in RREF is not eliminated at all.  The
+    rows after that run are taken in blocks of `_BLOCK`: each block is
+    reduced against the basis found so far with one product, its residual
+    is eliminated column by column on the columns where it is nonzero, and
+    the new pivots are back-substituted into the basis rows that meet them.
+    The basis is kept in the leading rows of `a` and sorted by pivot at the
+    end.  RREF is canonical, so the result is the one column-by-column
+    elimination gives.  Every product here has inner dimension at most
+    min(m, n); small matrices, and sizes and primes where such a product
+    would not be exact in float64, take that elimination directly.  (At
+    most `_BLOCK` rows, one block product and its back-substitution cost
+    more than the pivots a reduced run saves.)
     """
     m, n = a.shape
     if m <= _BLOCK or min(m, n) * (p - 1) * (p - 1) >= _F64_EXACT:
         return _eliminate(a, p)
-    piv = np.empty(0, dtype=np.int64)
-    r = 0
-    for s in range(0, m, _BLOCK):
+    piv = _reduced_prefix(a)
+    r = piv.size
+    for s in range(r, m, _BLOCK):
         if r == n:
             break
         blk = a[s : s + _BLOCK].copy()

@@ -118,6 +118,9 @@ def test_full_zero_and_lex_edges():
     sheaf = SplitSheaf((0,))
     assert full_space(ctx, sheaf, 2).codim == 0
     assert zero_subspace(ctx, sheaf, 2).dim == 0
+    # `[]` is the empty set of rows
+    empty = subspace_from_rows(ctx, sheaf, 2, [])
+    assert empty.basis.shape == (0, 10) and empty.codim == 10
     assert lex_segment_subspace(0, 2, ctx).codim == 0
     assert lex_segment_subspace(10, 2, ctx).dim == 0
     with pytest.raises(ValueError):
@@ -134,20 +137,30 @@ def test_lex_segment_keeps_greatest_monomials():
 
 
 def test_multiply_against_dict_oracle():
+    # (-1, 0, 2) at d = 0: the twist -1 summand has no sections in degree
+    # 0 but one in degree 1, which no product reaches
     rng = np.random.default_rng(31)
-    for twists in [(0,), (0, 1)]:
-        for d in (1, 2):
-            ctx = RingContext(2, P)
-            sheaf = SplitSheaf(twists)
-            n = section_dim(sheaf, d, ctx)
-            v = random_subspace(ctx, sheaf, d, rng, dim=min(4, n - 1))
+    N = 2
+    for twists, d, p in itertools.product(
+        [(0,), (0, 1), (0, 1, 2), (-1, 0, 2)], (0, 1, 2, 3), (2, 101)
+    ):
+        ctx = RingContext(N, p)
+        sheaf = SplitSheaf(twists)
+        n = section_dim(sheaf, d, ctx)
+        cols = [(bi, e) for bi, a in enumerate(twists) for e in _lex_monomials(N + 1, d + 1 + a)]
+        index = {key: j for j, key in enumerate(cols)}
+        for dim in sorted({1, n // 2, n}):
+            v = random_subspace(ctx, sheaf, d, rng, dim=dim)
             w = multiply(v, 1)
-            vecs = [
-                vector_times_var(vec, i)
-                for vec in _as_dict_vectors(v)
-                for i in range(3)
-            ]
-            assert vectors_rank(vecs, P) == w.dim
+            products = []
+            for vec in _as_dict_vectors(v):
+                for i in range(N + 1):
+                    row = [0] * len(cols)
+                    for bi, f in enumerate(vector_times_var(vec, i)):
+                        for e, c in f.items():
+                            row[index[(bi, e)]] = c
+                    products.append(row)
+            assert w.basis.tolist() == gfp_rref(products, p), (twists, d, p, dim)
             # two single steps equal one double step
             assert multiply(v, 2).basis.tolist() == multiply(w, 1).basis.tolist()
     with pytest.raises(ValueError):

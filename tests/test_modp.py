@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from nlgotz import modp
 
-from oracles import gfp_rank
+from oracles import gfp_rank, gfp_rref
 
 # 2147483647 fits no float64 product ((p - 1)**2 > 2**53), so it is
 # eliminated column by column at every size
@@ -72,7 +72,10 @@ SWITCH_PRIME = 9490631
 @example(p=2, m=64, n=90, rank=140, density=1.0, seed=2)
 @example(p=2, m=130, n=90, rank=50, density=0.03, seed=3)
 def test_rref_matches_column_elimination_and_is_canonical(p, m, n, rank, density, seed):
-    # a product through an inner dimension of min(rank, m, n) has at most that rank
+    # `_eliminate` is the kernel that also finishes each block, so this is a
+    # cross-check of the blocked path against the column path, not an
+    # independent oracle (see test_rref_matches_sympy_across_the_lazy_window).
+    # A product through an inner dimension of min(rank, m, n) has at most that rank.
     rng = np.random.default_rng(seed)
     k = min(rank, m, n)
     mat = modp.matmul_mod(rng.integers(0, p, size=(m, k)), rng.integers(0, p, size=(k, n)), p)
@@ -83,6 +86,82 @@ def test_rref_matches_column_elimination_and_is_canonical(p, m, n, rank, density
     assert np.array_equal(reduced, by_column)
     assert np.array_equal(modp.rref(reduced, p)[0], reduced)
     assert np.array_equal(modp.rref(mat[rng.permutation(m)], p)[0], reduced)
+
+
+# The steps `_eliminate` may leave unreduced: about 4.5e14 at 101 (and more
+# at 2), 3 at 1073741827 and 1 at 2147483647, where it reduces the updated
+# rows at every step.
+LAZY_PRIMES = (2, 101, 1073741827, 2147483647)
+
+
+def test_lazy_window():
+    assert [modp._lazy_window(p) for p in LAZY_PRIMES[2:]] == [3, 1]
+    assert modp._lazy_window(101) == (2**62 - 101) // 100**2
+
+
+def test_rref_matches_sympy_across_the_lazy_window():
+    rng = np.random.default_rng(20261018)
+    # each side of the 64-row block, tall and wide; rank k = min(m, n) - 4
+    # leaves non-pivot columns for a wrong step to show in, and is more
+    # pivots than the window at the two large primes
+    shapes = [(8, 6), (12, 40), (40, 40), (64, 40), (65, 40), (70, 40)]
+    for p in LAZY_PRIMES:
+        for m, n in shapes:
+            k = min(m, n) - 4
+            left = rng.integers(0, p, size=(m, k)).astype(object)
+            low_rank = (left @ rng.integers(0, p, size=(k, n)) % p).astype(np.int64)
+            top = np.full((m, n), p - 1, dtype=np.int64)
+            # L U with -1 below the unit diagonal of L and above that of U:
+            # step j pivots on U[j], whose entries past j are p - 1, with
+            # multiplier p - 1 in every row below, so every entry there
+            # falls by the largest product, (p - 1)**2, at every step
+            lower = np.tril(np.full((m, k), -1), -1) + np.eye(m, k, dtype=np.int64)
+            upper = np.triu(np.full((k, n), -1), 1) + np.eye(k, n, dtype=np.int64)
+            worst = lower @ upper % p
+            for mat in (rng.integers(0, p, size=(m, n)), low_rank, top, worst):
+                want = gfp_rref(mat.tolist(), p)
+                assert modp.row_space(mat, p).tolist() == want, (p, m, n)
+
+
+def _random_rref(rng, k, n, p):
+    """A k-row RREF basis of F_p^n with pivots spread over the columns."""
+    piv = np.sort(rng.choice(n, size=k, replace=False))
+    basis = rng.integers(0, p, size=(k, n)) * (np.arange(n) > piv[:, None])
+    basis[:, piv] = 0
+    basis[np.arange(k), piv] = 1
+    return basis.astype(np.int64), piv
+
+
+def test_reduced_prefix_is_reused_and_cannot_be_fooled():
+    rng = np.random.default_rng(99)
+    for p in (2, 101):
+        basis, piv = _random_rref(rng, 30, 40, p)
+        rest = rng.integers(0, p, size=(40, 40))
+        cases = {"rref then random": (np.vstack([basis, rest]), 30)}
+        # near-RREF runs that must stop at row 5
+        mixed = basis.copy()
+        mixed[0, piv[5]] = 1
+        cases["entry in a later pivot column"] = (mixed, 5)
+        cases["zero row"] = (np.vstack([basis[:5], np.zeros((1, 40), np.int64), basis[5:]]), 5)
+        if p > 2:
+            scaled = basis.copy()
+            scaled[5] = scaled[5] * 2 % p
+            cases["leading entry not 1"] = (scaled, 5)
+        cases["copy of an earlier row"] = (np.vstack([basis[:5], basis[4:]]), 5)
+        for name, (head, run) in cases.items():
+            mat = np.vstack([head, rest])[:70]
+            assert modp._reduced_prefix(mat).size == run, (p, name)
+            assert modp.row_space(mat, p).tolist() == gfp_rref(mat.tolist(), p), (p, name)
+    # a whole matrix in RREF, past one block, is its own row space
+    basis, _ = _random_rref(rng, 70, 100, 101)
+    assert modp._reduced_prefix(basis).size == 70
+    assert np.array_equal(modp.row_space(basis, 101), basis)
+    assert basis.tolist() == gfp_rref(basis.tolist(), 101)
+    # a run that ends at row 90, inside the second 64-row block
+    basis, _ = _random_rref(rng, 90, 120, 2)
+    mat = np.vstack([basis, rng.integers(0, 2, size=(50, 120))])
+    assert modp._reduced_prefix(mat).size == 90
+    assert modp.row_space(mat, 2).tolist() == gfp_rref(mat.tolist(), 2)
 
 
 def test_rref_pivot_structure():
@@ -194,6 +273,14 @@ def test_asmod_normalizes():
     out = modp.asmod(np.array([-1, 7, 13]), 7)
     assert out.shape == (1, 3)
     assert out.tolist() == [[6, 0, 6]]
+    # integers past int64 are reduced exactly, before any conversion
+    big = np.array([[2**70, -(2**80), 5]], dtype=object)
+    assert modp.asmod(big, 7).tolist() == [[2**70 % 7, -(2**80) % 7, 5]]
+    assert modp.asmod(np.array([2**64 - 1], dtype=np.uint64), 7).tolist() == [[(2**64 - 1) % 7]]
+    assert modp.asmod(np.array([[3.0, -1.0]]), 7).tolist() == [[3, 6]]
+    for bad in (np.array([[2.5, 1]]), np.array([np.nan]), np.array([np.inf]), np.array([[1, 0.5]], dtype=object)):
+        with pytest.raises(ValueError):
+            modp.asmod(bad, 7)
 
 
 def test_prime_checks():
