@@ -19,7 +19,7 @@ import numpy as np
 
 from . import modp
 from .macaulay import lower_macaulay, upper_macaulay
-from .monomials import dim_degree, exponent_table, lead_divisions, product_table
+from .monomials import dim_degree, exponent_table, product_table
 
 __all__ = [
     "RingContext",
@@ -280,41 +280,38 @@ def check_macaulay_gotzmann(v: GradedSubspace) -> GotzmannCheck:
 
 
 def _substitution_matrix(
-    context: RingContext, sheaf: SplitSheaf, degree: int, lam: np.ndarray
+    context_h: RingContext, sheaf: SplitSheaf, degree: int, lam: np.ndarray
 ) -> np.ndarray:
     """Matrix of the restriction map H^0(M(degree)) -> H^0(M_H(degree)).
 
-    The hyperplane H = {lam . x = 0} has lam[N] != 0, so restriction is the
-    ring map x_i -> y_i for i < N and x_N -> mu . y, with
-    mu = -(lam_0, ..., lam_{N-1}) / lam_N, into the remaining variables.
-    Being multiplicative, it is built one degree at a time: the image of a
-    degree-m monomial is the image of its quotient by its first variable x_i
-    (`lead_divisions`) times the image of x_i, a multiplication map on
-    P^{N-1}.  Each summand's block is the map at its own degree.
+    The hyperplane H = {lam . x = 0} of P^N has lam[N] != 0 and is the
+    P^{N-1} of `context_h`.  Restriction is the ring map x_i -> y_i for
+    i < N and x_N -> mu . y, with mu = -(lam_0, ..., lam_{N-1}) / lam_N, so
+    x^a goes to y^{a'} (mu . y)^{a_N}, a' = (a_0, ..., a_{N-1}).  Each power
+    (mu . y)^k is one exact product of the power before it with the
+    multiplication map of mu . y on P^{N-1}; in a block of degree m, the
+    rows with x_N-exponent k hold it shifted by their y^{a'}, at the columns
+    of `product_table(N, k, m - k)`.  Each summand's block is the map at its
+    own degree.
     """
-    p = context.p
-    nv = context.N + 1
-    ctx_h = RingContext(context.N - 1, p)
+    p = context_h.p
+    n = context_h.N + 1
+    mu = (-lam[:n] * pow(int(lam[n]), -1, p)) % p
+    tgt, n_tgt = _layout(context_h, sheaf, degree)
     line = SplitSheaf((0,))
-    mu = (-lam[: nv - 1] * pow(int(lam[nv - 1]), -1, p)) % p
-    forms = list(np.eye(nv - 1, dtype=np.int64)) + [mu]
-    src, n_src = _layout(context, sheaf, degree)
-    tgt, n_tgt = _layout(ctx_h, sheaf, degree)
-    images = [np.ones((1, 1), dtype=np.int64)]
-    for m in range(1, max(block[1] for block in src) + 1):
-        var, quotient = lead_divisions(nv, m)
-        image = np.empty((dim_degree(nv, m), dim_degree(nv - 1, m)), dtype=np.int64)
-        for i, form in enumerate(forms):
-            rows = var == i
-            image[rows] = modp.matmul_mod(
-                images[m - 1][quotient[rows]], _linear_form_matrix(ctx_h, line, m, form), p
-            )
-        images.append(image)
-    s = np.zeros((n_src, n_tgt), dtype=np.int64)
-    for (_, m, dim, off), (_, _, tdim, toff) in zip(src, tgt):
-        if dim:
-            s[off : off + dim, toff : toff + tdim] = images[m]
-    return s
+    powers = [np.ones((1, 1), dtype=np.int64)]
+    for k in range(1, max(block[1] for block in tgt) + 1):
+        powers.append(modp._dot(powers[-1], _linear_form_matrix(context_h, line, k, mu), p))
+    blocks = []
+    for _, m, _, toff in tgt:
+        exps = exponent_table(n + 1, m)
+        image = np.zeros((len(exps), n_tgt), dtype=np.int64)
+        for k in range(m + 1):
+            # these rows' y^{a'} run through degree m - k in lex order
+            rows = np.flatnonzero(exps[:, n] == k)
+            image[rows[:, None], toff + product_table(n, k, m - k)] = powers[k]
+        blocks.append(image)
+    return np.vstack(blocks)
 
 
 def _linear_form_matrix(
@@ -349,17 +346,20 @@ def _restrict_once(v: GradedSubspace, lam: np.ndarray) -> RestrictionResult:
     ctx = v.context
     p = ctx.p
     c = v.codim
-    sub = _substitution_matrix(ctx, v.sheaf, v.degree, lam)
     ctx_h = RingContext(ctx.N - 1, p)
+    sub = _substitution_matrix(ctx_h, v.sheaf, v.degree, lam)
     v_h = GradedSubspace(ctx_h, v.sheaf, v.degree, modp.matmul_mod(v.basis, sub, p))
 
+    # V^H = {f : l f in V} is the kernel of multiplication by l into S_d / V,
+    # whose coordinates are those of l f reduced by V off V's pivot columns;
+    # V's basis is the identity on its pivot columns, so only the free
+    # columns take a product
     m_l = _linear_form_matrix(ctx, v.sheaf, v.degree, lam)
-    reduced = modp.reduce_rows(v.basis, m_l, p)
     piv = modp.pivot_columns(v.basis)
-    free = np.setdiff1d(np.arange(v.ambient_dim), piv)
-    quotient = np.ascontiguousarray(reduced[:, free])
-    pre_basis = modp.left_nullspace(quotient, p)
-    v_pre = GradedSubspace(ctx, v.sheaf, v.degree - 1, pre_basis)
+    free = np.ones(v.ambient_dim, dtype=bool)
+    free[piv] = False
+    quotient = (m_l[:, free] - modp._dot(m_l[:, piv], v.basis[:, free], p)) % p
+    v_pre = GradedSubspace(ctx, v.sheaf, v.degree - 1, modp.left_nullspace(quotient, p))
 
     bound = lower_macaulay(c, v.degree)
     additivity = c == v_pre.codim + v_h.codim

@@ -304,19 +304,27 @@ def reduce_rows(basis: np.ndarray, vectors: np.ndarray, p: int) -> np.ndarray:
 
 
 def nullspace(mat: np.ndarray, p: int) -> np.ndarray:
-    """Basis, as rows, of the kernel {x : mat @ x = 0} over F_p."""
-    a, r = rref(mat, p)
+    """RREF basis, as rows, of the kernel {x : mat @ x = 0} over F_p.
+
+    `mat` is row reduced with its columns reversed.  Back in the original
+    order, each kernel vector it gives is 1 at its own free column f, zero
+    at the other free columns and nonzero only at pivot columns right of f,
+    so the vectors, ordered by f, are already the canonical basis.
+    """
+    a, r = rref(np.atleast_2d(mat)[:, ::-1], p)
+    free = np.ones(a.shape[1], dtype=bool)
     piv = pivot_columns(a[:r])
-    free = np.setdiff1d(np.arange(a.shape[1]), piv)
+    free[piv] = False
+    free = np.flatnonzero(free)
     k = np.zeros((free.size, a.shape[1]), dtype=np.int64)
     k[np.arange(free.size), free] = 1
     k[:, piv] = (-a[:r, free].T) % p
-    return k
+    return np.ascontiguousarray(k[::-1, ::-1])
 
 
 def left_nullspace(mat: np.ndarray, p: int) -> np.ndarray:
-    """Basis, as rows, of {w : w @ mat = 0} over F_p."""
-    return nullspace(np.ascontiguousarray(mat.T), p)
+    """RREF basis, as rows, of {w : w @ mat = 0} over F_p (see `nullspace`)."""
+    return nullspace(np.asarray(mat).T, p)
 
 
 def matmul_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:

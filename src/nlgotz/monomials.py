@@ -3,8 +3,10 @@
 Monomials are exponent tuples, always enumerated in descending lexicographic
 order with the first variable greatest (x_0 > x_1 > ... > x_N).  This module
 owns that layout and every table of monomial products on it, so `graded`
-builds its matrices without handling exponent tuples.  Everything here is
-cached: repeated lookups must be cheap.
+builds its matrices without handling exponent tuples.  A monomial's position
+in that order is a closed formula in its exponents (`_lex_rank`), so the
+product tables are array arithmetic on `exponent_table` rows.  Everything
+here is cached: repeated lookups must be cheap.
 """
 
 from __future__ import annotations
@@ -21,7 +23,6 @@ __all__ = [
     "exponent_table",
     "shift_table",
     "product_table",
-    "lead_divisions",
     "unit_exponent",
 ]
 
@@ -58,7 +59,28 @@ def monomial_index(num_vars: int, degree: int) -> dict[tuple[int, ...], int]:
 @lru_cache(maxsize=None)
 def exponent_table(num_vars: int, degree: int) -> np.ndarray:
     """The exponent tuples of `monomials`, one row each (monomials x variables)."""
-    table = np.array(monomials(num_vars, degree), dtype=np.int64).reshape(-1, num_vars)
+    return _frozen(np.array(monomials(num_vars, degree), dtype=np.int64).reshape(-1, num_vars))
+
+
+def _lex_rank(exps: np.ndarray) -> np.ndarray:
+    """Position of each exponent row (last axis) in the descending lex basis of its degree.
+
+    With T_i = e_i + ... + e_N, the monomials before x^e are, for each
+    i = 1..N, those that agree with e on x_0, ..., x_{i-2} and have a larger
+    exponent of x_{i-1}: C(T_i - 1 + N + 1 - i, N + 1 - i) of them, the
+    number of monomials of degree below T_i in x_i, ..., x_N (0 when T_i = 0).
+    """
+    # column j holds T_{N-j}, whose count is C(T - 1 + k, k) with k = j + 1
+    tails = np.cumsum(exps[..., :0:-1], axis=-1)
+    terms = tails.copy()  # C(T, 1) = T
+    for k in range(2, tails.shape[-1] + 1):
+        # C(T - 1 + k, k) = C(T - 2 + k, k - 1) * (T - 1 + k) / k, exactly
+        terms[..., k - 1 :] *= tails[..., k - 1 :] + (k - 1)
+        terms[..., k - 1 :] //= k
+    return terms.sum(axis=-1)
+
+
+def _frozen(table: np.ndarray) -> np.ndarray:
     table.setflags(write=False)
     return table
 
@@ -70,13 +92,7 @@ def shift_table(num_vars: int, degree: int, shift: tuple[int, ...]) -> np.ndarra
     Entry j is the position of (degree-j monomial) * x^shift inside the basis
     of degree `degree + sum(shift)`.
     """
-    tgt = monomial_index(num_vars, degree + sum(shift))
-    src = monomials(num_vars, degree)
-    table = np.empty(len(src), dtype=np.int64)
-    for j, e in enumerate(src):
-        table[j] = tgt[tuple(a + b for a, b in zip(e, shift))]
-    table.setflags(write=False)
-    return table
+    return _frozen(_lex_rank(exponent_table(num_vars, degree) + np.asarray(shift, dtype=np.int64)))
 
 
 @lru_cache(maxsize=None)
@@ -86,34 +102,8 @@ def product_table(num_vars: int, degree: int, t: int) -> np.ndarray:
     Row k is `shift_table(num_vars, degree, f)` for the k-th monomial f of
     degree t; a negative t has no monomials, so no rows.
     """
-    table = np.empty((dim_degree(num_vars, t), dim_degree(num_vars, degree)), dtype=np.int64)
-    for k, f in enumerate(monomials(num_vars, t)):
-        table[k] = shift_table(num_vars, degree, f)
-    table.setflags(write=False)
-    return table
-
-
-@lru_cache(maxsize=None)
-def lead_divisions(num_vars: int, degree: int) -> tuple[np.ndarray, np.ndarray]:
-    """(var, quotient) for the degree-`degree` monomials, degree >= 1.
-
-    var[j] is the first variable x_i dividing monomial j and quotient[j] the
-    position of monomial j / x_i among the monomials one degree lower, so
-    each monomial is one product of a lower one with one variable.
-    """
-    if degree < 1:
-        raise ValueError("lead divisions need degree >= 1")
-    var = np.empty(dim_degree(num_vars, degree), dtype=np.int64)
-    quotient = np.empty_like(var)
-    lower = np.arange(dim_degree(num_vars, degree - 1), dtype=np.int64)
-    # x_0 writes last, so every monomial keeps its first variable
-    for i in range(num_vars - 1, -1, -1):
-        table = shift_table(num_vars, degree - 1, unit_exponent(num_vars, i))
-        var[table] = i
-        quotient[table] = lower
-    var.setflags(write=False)
-    quotient.setflags(write=False)
-    return var, quotient
+    exps = exponent_table(num_vars, t)[:, None] + exponent_table(num_vars, degree)
+    return _frozen(_lex_rank(exps))
 
 
 def unit_exponent(num_vars: int, i: int) -> tuple[int, ...]:

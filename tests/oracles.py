@@ -1,11 +1,12 @@
 """Independent recomputation paths used to pin down expected values.
 
 Nothing in this module imports from nlgotz.  Binomials come from the
-Pascal recurrence, expansions from exhaustive search, matrix ranks and
-reduced echelon forms from sympy's exact GF(p) arithmetic, polynomial
-images from dict-based exponent bookkeeping, and rational base points from
-evaluating at every point of P^N(F_p).  Tests compare package output
-against these slower but independently derived answers.
+Pascal recurrence, expansions from exhaustive search, matrix ranks,
+reduced echelon forms and kernels from sympy's exact GF(p) arithmetic,
+polynomial images and preimages from dict-based exponent bookkeeping, and
+rational base points from evaluating at every point of P^N(F_p).  Tests
+compare package output against these slower but independently derived
+answers.
 """
 
 from __future__ import annotations
@@ -119,17 +120,13 @@ def vector_times_var(vec: tuple, var: int) -> tuple:
     return tuple(poly_times_var(f, var) for f in vec)
 
 
-def vectors_rank(vectors: list, p: int) -> int:
-    """Rank of a set of dict-polynomial vectors over GF(p).
+def _vector_rows(vectors: list, p: int) -> list[list[int]]:
+    """Dict-polynomial vectors as coefficient rows over the exponents present.
 
-    Columns are the exponents actually present; absent ambient monomials
-    contribute zero columns, which cannot change the rank.
+    Absent ambient monomials would only add zero columns, which change no
+    rank and no kernel of the rows.
     """
-    cols = sorted(
-        {(bi, e) for vec in vectors for bi, f in enumerate(vec) for e in f}
-    )
-    if not cols or not vectors:
-        return 0
+    cols = sorted({(bi, e) for vec in vectors for bi, f in enumerate(vec) for e in f})
     index = {key: j for j, key in enumerate(cols)}
     rows = []
     for vec in vectors:
@@ -138,7 +135,47 @@ def vectors_rank(vectors: list, p: int) -> int:
             for e, coeff in f.items():
                 row[index[(bi, e)]] = coeff % p
         rows.append(row)
-    return gfp_rank(rows, p)
+    return rows
+
+
+def vectors_rank(vectors: list, p: int) -> int:
+    """Rank of a set of dict-polynomial vectors over GF(p)."""
+    return gfp_rank(_vector_rows(vectors, p), p)
+
+
+def gfp_nullspace(rows, ncols: int, p: int) -> list[list[int]]:
+    """Basis, as rows, of {x : rows @ x = 0} over GF(p), read off sympy's RREF.
+
+    Each free column f gives the vector with x_f = 1, zero at the other
+    free columns and -(row i of the RREF)[f] at the pivot of row i.
+    """
+    reduced = _domain_rref(rows, p)
+    red, pivots = (reduced[0].to_list(), reduced[1]) if reduced else ([], ())
+    out = []
+    for f in sorted(set(range(ncols)) - set(pivots)):
+        x = [0] * ncols
+        x[f] = 1
+        for i, c in enumerate(pivots):
+            x[c] = -int(red[i][f]) % p
+        out.append(x)
+    return out
+
+
+def vectors_preimage(products: list, space: list, p: int) -> list[list[int]]:
+    """RREF of {c : sum_j c_j products[j] lies in the span of `space`} over GF(p).
+
+    A vector lies in that span exactly when it is orthogonal to each a of
+    a basis of {a : space @ a = 0}, so the answer is the kernel of the
+    pairings of the products with those a.
+    """
+    rows = _vector_rows(products + space, p)
+    ncols = len(rows[0]) if rows else 0
+    annihilator = gfp_nullspace(rows[len(products) :], ncols, p)
+    pairings = [
+        [sum(x * y for x, y in zip(a, row)) % p for row in rows[: len(products)]]
+        for a in annihilator
+    ]
+    return gfp_rref(gfp_nullspace(pairings, len(products), p), p)
 
 
 def _compositions(total: int, parts: int):

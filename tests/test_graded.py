@@ -42,6 +42,7 @@ from oracles import (
     rational_common_zero,
     substitute_last_variable,
     vector_times_var,
+    vectors_preimage,
     vectors_rank,
 )
 
@@ -237,12 +238,24 @@ def _lex_monomials(num_vars, degree):
     return sorted((e for e in grid if sum(e) == degree), reverse=True)
 
 
+def _lex_columns(num_vars, degree, twists):
+    """(summand, exponents) of each column of H^0(M(degree)), by brute force."""
+    return [(bi, e) for bi, a in enumerate(twists) for e in _lex_monomials(num_vars, degree + a)]
+
+
 def test_restriction_against_substitution_oracle():
-    degree = 2
-    shapes = itertools.product((1, 2, 3, 4), ((0,), (0, 1), (0, 1, 2)), (2, 3, 101, 2147483647))
-    for N, twists, p in shapes:
+    # blocks of degree 1 to 6; sympy's GF(p) elimination takes seconds a
+    # shape past ambient dim 120, so the substitution map on P^3 and P^4 at
+    # block degrees up to 6 is checked on its own, below
+    shapes = itertools.product(
+        (1, 2, 3, 4), (1, 2, 3, 4), ((0,), (0, 1), (0, 1, 2)), (2, 3, 101, 2147483647)
+    )
+    for degree, N, twists, p in shapes:
+        where = (degree, N, twists, p)
         ctx = RingContext(N, p)
         sheaf = SplitSheaf(twists)
+        if section_dim(sheaf, degree, ctx) > 120:
+            continue
         rng = np.random.default_rng(17)
         v = random_subspace(ctx, sheaf, degree, rng, dim=section_dim(sheaf, degree, ctx) // 2)
         res = restrict_to_hyperplane(v, seed=5)
@@ -251,28 +264,45 @@ def test_restriction_against_substitution_oracle():
         mu = tuple((-lam[i] * inv_last) % p for i in range(N))
         # independently substitute into each basis polynomial; the columns are
         # the monomials in x_0..x_{N-1}, one block per summand
-        cols = [(bi, e) for bi, a in enumerate(twists) for e in _lex_monomials(N, degree + a)]
-        index = {key: j for j, key in enumerate(cols)}
+        index = {key: j for j, key in enumerate(_lex_columns(N, degree, twists))}
+        v_rows = _as_dict_vectors(v)
         restricted = []
-        for vec in _as_dict_vectors(v):
-            row = [0] * len(cols)
+        for vec in v_rows:
+            row = [0] * len(index)
             for bi, poly in enumerate(vec):
                 for e, c in substitute_last_variable(poly, mu, p).items():
                     row[index[(bi, e[:N])]] = c
             restricted.append(row)
-        assert res.v_h.basis.tolist() == gfp_rref(restricted, p), (N, twists, p)
-        # the preimage really multiplies into V under the form lam . x
-        v_rows = _as_dict_vectors(v)
+        assert res.v_h.basis.tolist() == gfp_rref(restricted, p), where
+        # the preimage is the whole of {f : (lam . x) f in V}, not just inside it
         products = []
-        for vec in _as_dict_vectors(res.v_preimage):
+        for bi, e in _lex_columns(N + 1, degree - 1, twists):
             prod = tuple({} for _ in twists)
             for i in range(N + 1):
-                for bi, f in enumerate(vector_times_var(vec, i)):
-                    for e, c in f.items():
-                        prod[bi][e] = (prod[bi].get(e, 0) + lam[i] * c) % p
+                if lam[i]:
+                    prod[bi][e[:i] + (e[i] + 1,) + e[i + 1 :]] = lam[i]
             products.append(prod)
-        assert vectors_rank(v_rows, p) == v.dim, (N, twists, p)
-        assert vectors_rank(v_rows + products, p) == v.dim, (N, twists, p)
+        assert res.v_preimage.basis.tolist() == vectors_preimage(products, v_rows, p), where
+
+
+def test_substitution_matrix_at_the_largest_prime():
+    # lam = (1, ..., 1) makes every mu_i = p - 1, the largest entry
+    p = 2147483647
+    twists = (0, 1, 2)
+    for N in (3, 4):
+        mu = (p - 1,) * N
+        for degree in range(1, 5):
+            sub = graded._substitution_matrix(
+                RingContext(N - 1, p), SplitSheaf(twists), degree, np.ones(N + 1, dtype=np.int64)
+            )
+            index = {key: j for j, key in enumerate(_lex_columns(N, degree, twists))}
+            expect = []
+            for bi, e in _lex_columns(N + 1, degree, twists):
+                row = [0] * len(index)
+                for f, c in substitute_last_variable({e: 1}, mu, p).items():
+                    row[index[(bi, f[:N])]] = c
+                expect.append(row)
+            assert sub.tolist() == expect, (N, degree)
 
 
 def test_restriction_degree_one_bound_is_exact():
@@ -282,6 +312,28 @@ def test_restriction_degree_one_bound_is_exact():
     res = restrict_to_hyperplane(v, seed=2)
     assert res.bound == v.codim - 1
     assert res.codim_h <= v.codim - 1
+
+
+def test_restriction_edges():
+    ctx = RingContext(2, P)
+    # (codim, codim_h, codim_preimage, dim V^H)
+    cases = [
+        (zero_subspace(ctx, SplitSheaf((0,)), 2), (6, 3, 3, 0)),
+        (full_space(ctx, SplitSheaf((0,)), 2), (0, 0, 0, 3)),
+        (zero_subspace(ctx, SplitSheaf((0, 1)), 1), (9, 5, 4, 0)),
+    ]
+    for v, expect in cases:
+        res = restrict_to_hyperplane(v, seed=1)
+        assert (res.codim, res.codim_h, res.codim_preimage, res.v_preimage.dim) == expect
+        assert res.additivity_holds and res.restriction_bound_holds
+    # P^1 onto the point P^0 at p = 2: H = {x_1 = 0}, so V_H = S_{H,3} and
+    # V^H = {f : x_1 f in V} = span{x_0^2, x_0 x_1}
+    res = restrict_to_hyperplane(lex_segment_subspace(1, 3, RingContext(1, 2)), seed=1)
+    assert (res.codim, res.codim_h, res.codim_preimage, res.linear_form) == (1, 0, 1, (0, 1))
+    assert res.v_h.basis.tolist() == [[1]]
+    assert res.v_preimage.basis.tolist() == [[1, 0, 0], [0, 1, 0]]
+    res = restrict_to_hyperplane(zero_subspace(RingContext(1, 2), SplitSheaf((0, 1)), 2), seed=1)
+    assert (res.codim, res.codim_h, res.codim_preimage) == (7, 2, 5)
 
 
 def test_restriction_preconditions():

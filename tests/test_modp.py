@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from nlgotz import modp
 
-from oracles import gfp_rank, gfp_rref
+from oracles import gfp_nullspace, gfp_rank, gfp_rref
 
 # 2147483647 fits no float64 product ((p - 1)**2 > 2**53), so it is
 # eliminated column by column at every size
@@ -192,6 +192,25 @@ def test_left_nullspace_annihilates():
         if ln.shape[0]:
             prod = modp.matmul_mod(ln, mat % p, p)
             assert not np.any(prod)
+
+
+def test_nullspaces_are_the_rref_of_the_sympy_kernel():
+    rng = np.random.default_rng(11)
+    cases = [(p, mat) for p, mat in _random_matrices() if mat.shape[1] <= 20]
+    for p in PRIMES:
+        shapes = ((0, 4), (3, 0), (0, 0), (3, 5))
+        cases += [(p, np.zeros(shape, dtype=np.int64)) for shape in shapes]
+        # invertible: unit lower times unit upper triangular
+        low = np.tril(rng.integers(0, p, size=(6, 6)), -1) + np.eye(6, dtype=np.int64)
+        cases.append((p, modp.matmul_mod(low, low.T, p)))
+    for p, mat in cases:
+        m, n = mat.shape
+        kernel = modp.nullspace(mat, p)
+        assert kernel.shape == (len(kernel), n)
+        assert kernel.tolist() == gfp_rref(gfp_nullspace(mat.tolist(), n, p), p), (p, mat)
+        left = modp.left_nullspace(mat, p)
+        assert left.shape == (len(left), m)
+        assert left.tolist() == gfp_rref(gfp_nullspace(mat.T.tolist(), m, p), p), (p, mat)
 
 
 def test_reduce_rows_and_membership():

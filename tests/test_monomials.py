@@ -5,7 +5,6 @@ import pytest
 from nlgotz.monomials import (
     dim_degree,
     exponent_table,
-    lead_divisions,
     monomial_index,
     monomials,
     product_table,
@@ -95,17 +94,23 @@ def test_product_table_stacks_the_shift_tables():
         product_table(3, 1, 1)[0, 0] = 5  # read-only
 
 
-def test_lead_divisions_split_off_the_first_variable():
-    for nv in (1, 2, 3, 4):
-        for d in range(1, 6):
-            var, quotient = lead_divisions(nv, d)
-            lower = monomials(nv, d - 1)
-            for j, e in enumerate(monomials(nv, d)):
-                i = var[j]
-                assert all(a == 0 for a in e[:i]) and e[i] > 0
-                assert tuple(a + b for a, b in zip(lower[quotient[j]], unit_exponent(nv, i))) == e
-    with pytest.raises(ValueError):
-        lead_divisions(3, 0)
+def test_tables_match_the_monomial_index():
+    shapes = [(nv, d, t) for nv in range(1, 7) for d in range(-1, 9) for t in range(-1, 5)]
+    # the subspaces benchmark's shapes: multiplication on P^2 up to degree 30,
+    # and every split m = k + (m - k) of restriction to P^1
+    shapes += [(3, d, t) for d in range(9, 31) for t in (0, 1, 2)]
+    shapes += [(2, d, t) for d in range(31) for t in range(31 - d)]
+    for nv, d, t in shapes:
+        idx = monomial_index(nv, d + t) if t >= 0 else {}
+        expect = [
+            [idx[tuple(a + b for a, b in zip(e, f))] for e in monomials(nv, d)]
+            for f in monomials(nv, t)
+        ]
+        table = product_table(nv, d, t)
+        assert table.shape == (dim_degree(nv, t), dim_degree(nv, d)), (nv, d, t)
+        assert table.tolist() == expect, (nv, d, t)
+        for k, f in enumerate(monomials(nv, t)):
+            assert shift_table(nv, d, f).tolist() == expect[k], (nv, d, t)
 
 
 def test_unit_exponent():
