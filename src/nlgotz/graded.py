@@ -358,7 +358,7 @@ def _restrict_once(v: GradedSubspace, lam: np.ndarray) -> RestrictionResult:
     piv = modp.pivot_columns(v.basis)
     free = np.ones(v.ambient_dim, dtype=bool)
     free[piv] = False
-    quotient = (m_l[:, free] - modp._dot(m_l[:, piv], v.basis[:, free], p)) % p
+    quotient = modp._sign_fix(m_l[:, free] - modp._dot(m_l[:, piv], v.basis[:, free], p), p)
     v_pre = GradedSubspace(ctx, v.sheaf, v.degree - 1, modp.left_nullspace(quotient, p))
 
     bound = lower_macaulay(c, v.degree)
@@ -434,7 +434,7 @@ def _power_table(a: np.ndarray, width: int, p: int) -> np.ndarray:
     w[0] = 1
     for e in range(1, width):
         np.multiply(w[e - 1], a, out=w[e])
-        np.remainder(w[e], p, out=w[e])
+        modp._reduce(w[e], p)
     return w
 
 
@@ -459,8 +459,7 @@ def _chart_forms(
     keys, where = np.unique(e @ width ** np.arange(k - 1, -1, -1), return_inverse=True)
     coef = np.zeros((keys.size, basis.shape[0]), dtype=np.int64)
     np.add.at(coef, where, basis[:, on_chart].T)
-    np.remainder(coef, p, out=coef)
-    return keys, coef.T
+    return keys, modp._reduce(coef, p).T
 
 
 def _grid_values(
@@ -489,7 +488,7 @@ def _point_values(
     for i in range(k):
         w = _power_table(idx // p ** (k - 1 - i) % p, width, p)
         mons *= w[keys // width ** (k - 1 - i) % width]
-        np.remainder(mons, p, out=mons)
+        modp._reduce(mons, p)
     return modp._dot(coef, mons, p)
 
 
@@ -592,12 +591,13 @@ def _koszul_map(v: GradedSubspace, p: int, t: int) -> np.ndarray:
     """
     r = v.dim
     shifted = _shifted_rows(v, t)
+    signed = (shifted, modp._sign_fix(-shifted, v.context.p))
     faces = {face: b for b, face in enumerate(combinations(range(r), p - 1))}
     shape = (math.comb(r, p), dim_degree(v.context.N + 1, t), len(faces), shifted.shape[1])
     out = np.zeros(shape, dtype=np.int64)
     for a, subset in enumerate(combinations(range(r), p)):
         for s, i in enumerate(subset):
-            out[a, :, faces[subset[:s] + subset[s + 1 :]]] = (-1) ** s * shifted[i::r] % v.context.p
+            out[a, :, faces[subset[:s] + subset[s + 1 :]]] = signed[s % 2][i::r]
     return out.reshape(-1, shape[2] * shape[3])
 
 

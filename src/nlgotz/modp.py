@@ -10,6 +10,8 @@ blocks of rows with float64 products where every product it forms is below
 column by column in int64.  That elimination reduces mod p lazily: an entry
 falls by at most (p - 1)**2 per step, and the matrix is reduced before the
 unreduced steps could take an entry below -2**62 (see `_lazy_window`).
+Bulk reductions go by floor division (`_reduce`), differences of two reduced
+values get only a sign fix (`_sign_fix`), and reduced input is not reduced.
 """
 
 from __future__ import annotations
@@ -75,7 +77,8 @@ def asmod(mat: np.ndarray, p: int) -> np.ndarray:
     a = np.array(a, dtype=np.int64, order="C", copy=True)
     if a.ndim == 1:
         a = a.reshape(1, -1)
-    np.remainder(a, p, out=a)
+    if a.size and (a.min() < 0 or a.max() >= p):
+        _reduce(a, p)
     return a
 
 
@@ -87,6 +90,29 @@ _F64_EXACT = 2**53
 _I64_EXACT = 2**62
 # rows eliminated per block of `_rref_inplace`
 _BLOCK = 64
+# arrays of at least this many entries are reduced by floor division
+_FLOOR_DIVIDE_MIN = 1024
+
+
+def _reduce(x: np.ndarray, p: int) -> np.ndarray:
+    """Reduce the int64 array `x` into [0, p) in place and return it.
+
+    Large arrays take x - p * (x // p): numpy divides by a scalar with a
+    multiply and a shift (Granlund and Montgomery, PLDI 1994).  Exact on all
+    of int64, as the result lies in [0, p) even where p * (x // p) wraps.
+    """
+    if x.size < _FLOOR_DIVIDE_MIN:
+        return np.remainder(x, p, out=x)
+    q = np.floor_divide(x, p)
+    q *= p
+    x -= q
+    return x
+
+
+def _sign_fix(x: np.ndarray, p: int) -> np.ndarray:
+    """Reduce the int64 array `x`, with entries in (-p, p), into [0, p) in place."""
+    x += (x >> 63) & p
+    return x
 
 
 def _dot(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
@@ -95,22 +121,14 @@ def _dot(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     Uses float64 BLAS while k * (p - 1)**2 < 2**53 for the inner dimension k,
     int64 `@` while it is below 2**62, Python integers otherwise.
     """
-    k = a.shape[1]
-    if k == 0:
-        return np.zeros((a.shape[0], b.shape[1]), dtype=np.int64)
-    bound = k * (p - 1) * (p - 1)
+    bound = a.shape[1] * (p - 1) * (p - 1)
     if bound < _F64_EXACT:
-        prod = a.astype(np.float64, copy=False) @ b.astype(np.float64, copy=False)
-        out = prod.astype(np.int64)
-        del prod
-        np.remainder(out, p, out=out)
-        return out
+        out = (a.astype(np.float64, copy=False) @ b.astype(np.float64, copy=False)).astype(np.int64)
+        return _reduce(out, p)
     a = a.astype(np.int64, copy=False)
     b = b.astype(np.int64, copy=False)
     if bound < _I64_EXACT:
-        out = a @ b
-        np.remainder(out, p, out=out)
-        return out
+        return _reduce(a @ b, p)
     return (a.astype(object) @ b.astype(object) % p).astype(np.int64)
 
 
@@ -166,16 +184,16 @@ def _eliminate(a: np.ndarray, p: int) -> int:
             mult[i] = 0
             upd = a[nz, c:] - mult[:, None] * row
             if window == 1:
-                np.remainder(upd, p, out=upd)
+                _reduce(upd, p)
             else:
                 lazy += 1
             a[nz, c:] = upd
             if lazy == window:
-                np.remainder(a, p, out=a)
+                _reduce(a, p)
                 lazy = 0
         r += 1
     if lazy:
-        np.remainder(a, p, out=a)
+        _reduce(a, p)
     return r
 
 
@@ -237,7 +255,7 @@ def _rref_inplace(a: np.ndarray, p: int) -> int:
             hit = np.flatnonzero(blk[:, piv].any(axis=0))
             if hit.size:
                 blk -= _dot(blk[:, piv[hit]], a[hit], p)
-                np.remainder(blk, p, out=blk)
+                _sign_fix(blk, p)
         cols = np.flatnonzero(blk.any(axis=0))
         if cols.size == 0:
             continue
@@ -252,8 +270,7 @@ def _rref_inplace(a: np.ndarray, p: int) -> int:
             if meet.size:
                 met = a[meet]
                 upd = met[:, cols] - _dot(met[:, new_piv], res, p)
-                np.remainder(upd, p, out=upd)
-                a[np.ix_(meet, cols)] = upd
+                a[np.ix_(meet, cols)] = _sign_fix(upd, p)
         a[r : r + rb] = 0
         a[r : r + rb, cols] = res
         piv = np.concatenate([piv, new_piv])
@@ -266,8 +283,6 @@ def _rref_inplace(a: np.ndarray, p: int) -> int:
 def rref(mat: np.ndarray, p: int) -> tuple[np.ndarray, int]:
     """Reduced row echelon form (a copy) and rank."""
     a = asmod(mat, p)
-    if a.size == 0:
-        return a, 0
     return a, _rref_inplace(a, p)
 
 
@@ -288,21 +303,6 @@ def pivot_columns(basis: np.ndarray) -> np.ndarray:
     return np.argmax(basis != 0, axis=1).astype(np.int64)
 
 
-def reduce_rows(basis: np.ndarray, vectors: np.ndarray, p: int) -> np.ndarray:
-    """Reduce each row of `vectors` modulo the row space of an RREF `basis`.
-
-    The result has zeros in every pivot column, so a row reduces to zero
-    exactly when it lies in the span.
-    """
-    w = asmod(vectors, p)
-    if basis.shape[0] == 0 or w.shape[0] == 0:
-        return w
-    piv = pivot_columns(basis)
-    w -= _dot(w[:, piv], basis, p)
-    np.remainder(w, p, out=w)
-    return w
-
-
 def nullspace(mat: np.ndarray, p: int) -> np.ndarray:
     """RREF basis, as rows, of the kernel {x : mat @ x = 0} over F_p.
 
@@ -318,7 +318,7 @@ def nullspace(mat: np.ndarray, p: int) -> np.ndarray:
     free = np.flatnonzero(free)
     k = np.zeros((free.size, a.shape[1]), dtype=np.int64)
     k[np.arange(free.size), free] = 1
-    k[:, piv] = (-a[:r, free].T) % p
+    k[:, piv] = _sign_fix(-a[:r, free].T, p)
     return np.ascontiguousarray(k[::-1, ::-1])
 
 

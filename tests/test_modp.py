@@ -213,17 +213,20 @@ def test_nullspaces_are_the_rref_of_the_sympy_kernel():
         assert left.tolist() == gfp_rref(gfp_nullspace(mat.T.tolist(), m, p), p), (p, mat)
 
 
-def test_reduce_rows_and_membership():
+def test_span_membership_by_rank():
+    # a vector lies in the span exactly when stacking it on the basis
+    # leaves the rank unchanged
     rng = np.random.default_rng(5)
     p = 101
     mat = rng.integers(0, p, size=(4, 10)).astype(np.int64)
     basis = modp.row_space(mat, p)
     combos = modp.matmul_mod(rng.integers(0, p, size=(6, 4)).astype(np.int64), mat, p)
-    assert not np.any(modp.reduce_rows(basis, combos, p))
-    outside = np.vstack([combos, rng.integers(0, p, size=(1, 10))])
+    for row in combos:
+        assert modp.rank_of(np.vstack([basis, row]), p) == len(basis)
+    outside = rng.integers(0, p, size=(1, 10))
     # a uniform random vector lies in a 4-dim subspace of F_101^10 with
     # probability 101**-6; treat membership as impossible at this seed
-    assert np.any(modp.reduce_rows(basis, outside, p))
+    assert modp.rank_of(np.vstack([basis, outside]), p) == len(basis) + 1
 
 
 def test_matmul_mod_big_prime_fallback():
@@ -300,6 +303,67 @@ def test_asmod_normalizes():
     for bad in (np.array([[2.5, 1]]), np.array([np.nan]), np.array([np.inf]), np.array([[1, 0.5]], dtype=object)):
         with pytest.raises(ValueError):
             modp.asmod(bad, 7)
+
+
+def test_asmod_returns_a_fresh_reduced_copy():
+    p = 7
+    for inp in (
+        np.array([[0, 3, 6], [1, 2, 5]], dtype=np.int64),
+        np.arange(7, dtype=np.int64),
+        np.zeros((0, 4), dtype=np.int64),
+        np.array([[1, 2], [3, 4]], dtype=np.int32),
+    ):
+        before = inp.copy()
+        out = modp.asmod(inp, p)
+        assert out.dtype == np.int64 and out.flags.c_contiguous
+        assert out.shape == (inp.shape if inp.ndim == 2 else (1, inp.size))
+        assert np.array_equal(out.reshape(inp.shape), inp)
+        assert not np.shares_memory(out, inp)
+        out[...] = 1
+        assert np.array_equal(inp, before)
+    for inp, want in (
+        (np.array([[-1, -7, -8]]), [[6, 0, 6]]),
+        (np.array([[6, 7]]), [[6, 0]]),
+        (np.array([7, 8, 2**62]), [[0, 1, 2**62 % 7]]),
+        (np.array([[-(2**63), 2**63 - 1]]), [[-(2**63) % 7, (2**63 - 1) % 7]]),
+        (np.array([[6, 9]], dtype=np.uint32), [[6, 2]]),
+        (np.array([[True, False]]), [[1, 0]]),
+        (np.array([[14.0, -3.0]]), [[0, 4]]),
+        (np.array([[2**65 + 3, 4]], dtype=object), [[(2**65 + 3) % 7, 4]]),
+    ):
+        assert modp.asmod(inp, p).tolist() == want
+    assert modp.asmod(np.zeros((0, 3), dtype=np.int64), p).shape == (0, 3)
+    assert modp.asmod(np.array([], dtype=np.int64), p).shape == (1, 0)
+
+
+# the elimination and int64 products leave entries in [-(2**62 - p), 2**62);
+# the ends of int64 are checked too, where p * (x // p) wraps around
+REDUCE_PRIMES = (2, 3, 101, 65521, 1073741827, 2147483647)
+
+
+@settings(max_examples=60)
+@given(
+    p=st.sampled_from(REDUCE_PRIMES),
+    size=st.sampled_from((0, 1, 1023, 1024, 5000)),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(p=2147483647, size=1024, seed=0)
+@example(p=2, size=1023, seed=0)
+def test_reduce_and_sign_fix_are_exact(p, size, seed):
+    rng = np.random.default_rng(seed)
+    lo, hi = -(2**62 - p), 2**62
+    x = rng.integers(lo, hi, size=size, dtype=np.int64)
+    edges = [lo, hi - 1, -p, -1, 0, p - 1, p, -(2**63), 2**63 - 1]
+    edges = np.array(edges, dtype=np.int64)[:size]
+    x[: edges.size] = edges
+    want = [v % p for v in x.tolist()]
+    assert modp._reduce(x, p) is x
+    assert x.tolist() == want
+    # differences of two reduced values lie in (-p, p)
+    d = rng.integers(-(p - 1), p, size=size, dtype=np.int64)
+    want = [v % p for v in d.tolist()]
+    assert modp._sign_fix(d, p) is d
+    assert d.tolist() == want
 
 
 def test_prime_checks():
