@@ -263,20 +263,64 @@ class GotzmannCheck:
     holds: bool
 
 
+def _codim_times_linear_forms(v: GradedSubspace) -> int:
+    """codim mu(V x S_1), counted on the annihilator V^perp of V.
+
+    Macaulay's inverse systems: a functional phi on H^0(M(d + 1)) kills
+    V S_1 exactly when each contraction x_i o phi, the functional
+    f -> phi(x_i f) on H^0(M(d)), kills V.  With every block degree of
+    H^0(M(d)) at least 1, phi is fixed by its contractions, and a tuple
+    (psi_0, ..., psi_N) of functionals on H^0(M(d)) is the tuple of some phi
+    exactly when x_j o psi_i = x_i o psi_j on H^0(M(d - 1)) for all i < j.
+    So codim V S_1 = (N + 1) c - rank K, for K the matrix of those
+    conditions on (V^perp)^{N+1}: C(N + 1, 2) dim H^0(M(d - 1)) rows and
+    (N + 1) c columns.  V^perp is read off V's RREF basis and K is
+    gathered through the column maps of degree d - 1, so the only
+    elimination is that of K, taken in this tall orientation: each
+    column-by-column pass then walks only its (N + 1) c columns.
+    """
+    c = v.codim
+    if c == 0:
+        return 0
+    ctx = v.context
+    nv = ctx.N + 1
+    # g[j, b, k] = u_k(x_j b) for u_k the k-th basis functional of V^perp
+    # and b the b-th basis element of H^0(M(d - 1))
+    g = modp.rref_kernel(v.basis, ctx.p)[:, _column_maps(ctx, v.sheaf, v.degree - 1)]
+    g = g.transpose(1, 2, 0)
+    i, j = np.triu_indices(nv, 1)
+    pairs = np.arange(i.size)
+    k = np.zeros((i.size, g.shape[1], nv, c), dtype=np.int64)
+    k[pairs, :, i] = g[j]
+    k[pairs, :, j] = modp._sign_fix(-g[i], ctx.p)
+    return nv * c - modp.rank_of(k.reshape(-1, nv * c), ctx.p)
+
+
 def check_macaulay_gotzmann(v: GradedSubspace) -> GotzmannCheck:
     """Verify codim mu(V x S_1) <= upper_macaulay(codim V, degree).
 
     Requires a regular sheaf and degree >= 1; outside that range the bound is
-    not asserted.
+    not asserted.  codim V S_1 comes from whichever matrix has fewer
+    entries: the stack of `multiply`, (N + 1) dim V rows of H^0(M(d + 1)),
+    or the inverse-system matrix of `_codim_times_linear_forms`,
+    C(N + 1, 2) dim H^0(M(d - 1)) rows and (N + 1) codim V columns.  Both
+    give the same number; the second is the small one where codim V is
+    small, which is where the bound bites.
     """
     if not is_cm_regular(v.sheaf):
         raise ValueError("the growth bound needs a regular sheaf (all twists >= 0)")
     if v.degree < 1:
         raise ValueError("the growth bound needs degree >= 1")
     c = v.codim
-    w = multiply(v, 1)
+    ctx = v.context
+    # the entries of K and of the multiply stack, each divided by N + 1
+    dual = math.comb(ctx.N + 1, 2) * section_dim(v.sheaf, v.degree - 1, ctx) * c
+    if dual < v.dim * section_dim(v.sheaf, v.degree + 1, ctx):
+        codim_next = _codim_times_linear_forms(v)
+    else:
+        codim_next = multiply(v, 1).codim
     bound = upper_macaulay(c, v.degree)
-    return GotzmannCheck(codim=c, codim_next=w.codim, bound=bound, holds=w.codim <= bound)
+    return GotzmannCheck(codim=c, codim_next=codim_next, bound=bound, holds=codim_next <= bound)
 
 
 def _substitution_matrix(

@@ -237,13 +237,14 @@ def _rref_inplace(a: np.ndarray, p: int) -> int:
     The basis is kept in the leading rows of `a` and sorted by pivot at the
     end.  RREF is canonical, so the result is the one column-by-column
     elimination gives.  Every product here has inner dimension at most
-    min(m, n); small matrices, and sizes and primes where such a product
-    would not be exact in float64, take that elimination directly.  (At
+    min(m, n); small matrices, matrices with no columns (which
+    `_reduced_prefix` cannot scan), and sizes and primes where such a
+    product would not be exact in float64, take that elimination directly.  (At
     most `_BLOCK` rows, one block product and its back-substitution cost
     more than the pivots a reduced run saves.)
     """
     m, n = a.shape
-    if m <= _BLOCK or min(m, n) * (p - 1) * (p - 1) >= _F64_EXACT:
+    if m <= _BLOCK or n == 0 or min(m, n) * (p - 1) * (p - 1) >= _F64_EXACT:
         return _eliminate(a, p)
     piv = _reduced_prefix(a)
     r = piv.size
@@ -303,6 +304,23 @@ def pivot_columns(basis: np.ndarray) -> np.ndarray:
     return np.argmax(basis != 0, axis=1).astype(np.int64)
 
 
+def rref_kernel(basis: np.ndarray, p: int) -> np.ndarray:
+    """Basis, as rows, of {x : basis @ x = 0} for an RREF basis, with no elimination.
+
+    One vector per free column f, in increasing f: 1 at f, zero at the
+    other free columns and minus column f of `basis` at the pivot columns.
+    """
+    n = basis.shape[1]
+    piv = pivot_columns(basis)
+    free = np.ones(n, dtype=bool)
+    free[piv] = False
+    free = np.flatnonzero(free)
+    k = np.zeros((free.size, n), dtype=np.int64)
+    k[np.arange(free.size), free] = 1
+    k[:, piv] = _sign_fix(-basis[:, free].T, p)
+    return k
+
+
 def nullspace(mat: np.ndarray, p: int) -> np.ndarray:
     """RREF basis, as rows, of the kernel {x : mat @ x = 0} over F_p.
 
@@ -312,14 +330,7 @@ def nullspace(mat: np.ndarray, p: int) -> np.ndarray:
     so the vectors, ordered by f, are already the canonical basis.
     """
     a, r = rref(np.atleast_2d(mat)[:, ::-1], p)
-    free = np.ones(a.shape[1], dtype=bool)
-    piv = pivot_columns(a[:r])
-    free[piv] = False
-    free = np.flatnonzero(free)
-    k = np.zeros((free.size, a.shape[1]), dtype=np.int64)
-    k[np.arange(free.size), free] = 1
-    k[:, piv] = _sign_fix(-a[:r, free].T, p)
-    return np.ascontiguousarray(k[::-1, ::-1])
+    return np.ascontiguousarray(rref_kernel(a[:r], p)[::-1, ::-1])
 
 
 def left_nullspace(mat: np.ndarray, p: int) -> np.ndarray:

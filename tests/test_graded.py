@@ -10,7 +10,7 @@ import itertools
 import numpy as np
 import pytest
 
-from nlgotz import graded
+from nlgotz import graded, modp
 from nlgotz.graded import (
     RETRY_CAP,
     AdditivityError,
@@ -197,6 +197,58 @@ def test_gotzmann_random_split_sheaves():
         ctx = RingContext(2, P)
         v = random_subspace(ctx, SplitSheaf(twists), 2, rng)
         assert check_macaulay_gotzmann(v).holds
+
+
+def test_growth_codim_both_ways_against_dict_oracle():
+    # codim V S_1 from the inverse-system count and from the multiply stack,
+    # against the rank of the products computed on dict polynomials.  d = 1
+    # with twist 0 puts a degree-0 block at d - 1; N = 0 has no conditions.
+    rng = np.random.default_rng(12)
+    for p, N, (twists, d) in itertools.product(
+        (2, 3, 101, 2**31 - 1), range(4), [((0,), 1), ((0,), 2), ((0, 1), 1)]
+    ):
+        ctx = RingContext(N, p)
+        sheaf = SplitSheaf(twists)
+        n = section_dim(sheaf, d, ctx)
+        n_next = section_dim(sheaf, d + 1, ctx)
+        for dim in sorted({0, 1, n // 2, n - 1, n}):
+            v = random_subspace(ctx, sheaf, d, rng, dim=dim)
+            perp = modp.rref_kernel(v.basis, p)
+            assert perp.shape == (v.codim, n)
+            assert not modp.matmul_mod(v.basis, perp.T, p).any()
+            products = [
+                vector_times_var(vec, i) for vec in _as_dict_vectors(v) for i in range(N + 1)
+            ]
+            expected = n_next - vectors_rank(products, p)
+            dual = graded._codim_times_linear_forms(v)
+            assert dual == multiply(v, 1).codim == expected, (p, N, twists, d, v.dim)
+            assert check_macaulay_gotzmann(v).codim_next == expected
+
+
+def test_gotzmann_growth_reduces_the_smaller_matrix(monkeypatch):
+    # P^5, twists (0, 1), d = 4, codim 4: the stack of multiply is 2,244 x 714,
+    # the inverse-system matrix 2,730 x 24
+    ctx = RingContext(5, P)
+    sheaf = SplitSheaf((0, 1))
+    n = section_dim(sheaf, 4, ctx)
+    v = random_subspace(ctx, sheaf, 4, np.random.default_rng(19), dim=n - 4)
+    expected = multiply(v, 1).codim
+
+    def refuse(w, t):
+        raise AssertionError("the multiply stack is the larger matrix here")
+
+    monkeypatch.setattr(graded, "multiply", refuse)
+    chk = check_macaulay_gotzmann(v)
+    assert (chk.codim, chk.codim_next) == (4, expected)
+
+    # dim V = 1: the stack has N + 1 rows and is the smaller matrix
+    calls = []
+    monkeypatch.setattr(graded, "multiply", lambda w, t: calls.append(t) or multiply(w, t))
+    ctx = RingContext(2, P)
+    v = random_subspace(ctx, SplitSheaf((0,)), 2, np.random.default_rng(3), dim=1)
+    chk = check_macaulay_gotzmann(v)
+    assert calls == [1]
+    assert chk.codim_next == graded._codim_times_linear_forms(v) == 10 - 3
 
 
 def test_gotzmann_preconditions():

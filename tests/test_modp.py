@@ -198,7 +198,8 @@ def test_nullspaces_are_the_rref_of_the_sympy_kernel():
     rng = np.random.default_rng(11)
     cases = [(p, mat) for p, mat in _random_matrices() if mat.shape[1] <= 20]
     for p in PRIMES:
-        shapes = ((0, 4), (3, 0), (0, 0), (3, 5))
+        # more than one block of rows and no columns, or the transpose
+        shapes = ((0, 4), (3, 0), (0, 0), (3, 5), (65, 0), (200, 0), (0, 65))
         cases += [(p, np.zeros(shape, dtype=np.int64)) for shape in shapes]
         # invertible: unit lower times unit upper triangular
         low = np.tril(rng.integers(0, p, size=(6, 6)), -1) + np.eye(6, dtype=np.int64)
@@ -381,3 +382,10 @@ def test_rank_of_empty_and_zero():
     assert modp.rank_of(np.zeros((0, 5), dtype=np.int64), 7) == 0
     assert modp.rank_of(np.zeros((4, 4), dtype=np.int64), 7) == 0
     assert modp.row_space(np.zeros((4, 4), dtype=np.int64), 7).shape == (0, 4)
+    # more rows than one elimination block, and no columns
+    for m in (10, 65, 200):
+        mat = np.zeros((m, 0), dtype=np.int64)
+        assert modp.rank_of(mat, 7) == 0
+        assert modp.rref(mat, 7)[0].shape == (m, 0)
+        assert modp.row_space(mat, 7).shape == (0, 0)
+        assert modp.nullspace(mat, 7).shape == (0, 0)
