@@ -145,6 +145,23 @@ class GradedSubspace:
         b.setflags(write=False)
         object.__setattr__(self, "basis", b)
 
+    @classmethod
+    def _of_owned_rows(
+        cls, context: RingContext, sheaf: SplitSheaf, degree: int, rows: np.ndarray
+    ) -> GradedSubspace:
+        """The span of rows the library has just built, reduced in place.
+
+        `rows` is a C-contiguous int64 array with entries in [0, p), one
+        column per basis element of H^0(M(degree)), that nothing else reads
+        (see `modp._row_space_inplace`): the copy and range check of the
+        public constructor are skipped.
+        """
+        basis = modp._row_space_inplace(rows, context.p)
+        basis.setflags(write=False)
+        v = object.__new__(cls)
+        v.__dict__.update(context=context, sheaf=sheaf, degree=degree, basis=basis)
+        return v
+
     @property
     def ambient_dim(self) -> int:
         return self.basis.shape[1]
@@ -160,7 +177,7 @@ class GradedSubspace:
 
 def full_space(context: RingContext, sheaf: SplitSheaf, degree: int) -> GradedSubspace:
     n = section_dim(sheaf, degree, context)
-    return GradedSubspace(context, sheaf, degree, np.eye(n, dtype=np.int64))
+    return GradedSubspace._of_owned_rows(context, sheaf, degree, np.eye(n, dtype=np.int64))
 
 
 def zero_subspace(context: RingContext, sheaf: SplitSheaf, degree: int) -> GradedSubspace:
@@ -187,7 +204,7 @@ def lex_segment_subspace(c: int, degree: int, context: RingContext) -> GradedSub
     n = section_dim(sheaf, degree, context)
     if not 0 <= c <= n:
         raise ValueError(f"codimension {c} out of range for ambient dimension {n}")
-    return GradedSubspace(context, sheaf, degree, np.eye(n, dtype=np.int64)[: n - c])
+    return GradedSubspace._of_owned_rows(context, sheaf, degree, np.eye(n, dtype=np.int64)[: n - c])
 
 
 def random_subspace(
@@ -207,8 +224,8 @@ def random_subspace(
         dim = int(rng.integers(0, n + 1))
     if not 0 <= dim <= n:
         raise ValueError(f"requested dimension {dim} out of range")
-    rows = rng.integers(0, context.p, size=(dim, n)).astype(np.int64)
-    return GradedSubspace(context, sheaf, degree, rows)
+    rows = rng.integers(0, context.p, size=(dim, n), dtype=np.int64)
+    return GradedSubspace._of_owned_rows(context, sheaf, degree, rows)
 
 
 def _column_maps(context: RingContext, sheaf: SplitSheaf, degree: int, t: int = 1) -> np.ndarray:
@@ -240,7 +257,7 @@ def _shifted_rows(v: GradedSubspace, t: int) -> np.ndarray:
 
 def _times_linear_forms(v: GradedSubspace) -> GradedSubspace:
     """The image of V under multiplication by all linear forms, one degree up."""
-    return GradedSubspace(v.context, v.sheaf, v.degree + 1, _shifted_rows(v, 1))
+    return GradedSubspace._of_owned_rows(v.context, v.sheaf, v.degree + 1, _shifted_rows(v, 1))
 
 
 def multiply(v: GradedSubspace, t: int) -> GradedSubspace:
@@ -392,7 +409,7 @@ def _restrict_once(v: GradedSubspace, lam: np.ndarray) -> RestrictionResult:
     c = v.codim
     ctx_h = RingContext(ctx.N - 1, p)
     sub = _substitution_matrix(ctx_h, v.sheaf, v.degree, lam)
-    v_h = GradedSubspace(ctx_h, v.sheaf, v.degree, modp.matmul_mod(v.basis, sub, p))
+    v_h = GradedSubspace._of_owned_rows(ctx_h, v.sheaf, v.degree, modp._dot(v.basis, sub, p))
 
     # V^H = {f : l f in V} is the kernel of multiplication by l into S_d / V,
     # whose coordinates are those of l f reduced by V off V's pivot columns;
@@ -403,7 +420,8 @@ def _restrict_once(v: GradedSubspace, lam: np.ndarray) -> RestrictionResult:
     free = np.ones(v.ambient_dim, dtype=bool)
     free[piv] = False
     quotient = modp._sign_fix(m_l[:, free] - modp._dot(m_l[:, piv], v.basis[:, free], p), p)
-    v_pre = GradedSubspace(ctx, v.sheaf, v.degree - 1, modp.left_nullspace(quotient, p))
+    kernel = modp.left_nullspace(quotient, p)
+    v_pre = GradedSubspace._of_owned_rows(ctx, v.sheaf, v.degree - 1, kernel)
 
     bound = lower_macaulay(c, v.degree)
     additivity = c == v_pre.codim + v_h.codim

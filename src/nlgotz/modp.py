@@ -7,22 +7,32 @@ k * (p - 1)**2, the largest dot product it can form: float64 BLAS below
 2**53, int64 below 2**62, Python integers above.  Row reduction eliminates
 blocks of rows with float64 products where every product it forms is below
 2**53, and finishes each block, each small matrix and every other case
-column by column in int64.  That elimination reduces mod p lazily: an entry
+column by column in int64; a block more than twice as wide as it is tall
+is finished by panels, column by column only on its first columns and by
+one product on the rest.  That elimination reduces mod p lazily: an entry
 falls by at most (p - 1)**2 per step, and the matrix is reduced before the
 unreduced steps could take an entry below -2**62 (see `_lazy_window`).
 Bulk reductions go by floor division (`_reduce`), differences of two reduced
 values get only a sign fix (`_sign_fix`), and reduced input is not reduced.
+The public functions copy their input; matrices the library has just built
+itself are reduced in place through `_row_space_inplace`, with no copy.
 """
 
 from __future__ import annotations
+
+from functools import lru_cache
 
 import numpy as np
 
 MAX_PRIME = 2**31
 
 
+@lru_cache(maxsize=256)
 def is_prime(m: int) -> bool:
-    """Deterministic Miller-Rabin, exact for every m < 3,317,044,064,679,887,385,961,981."""
+    """Deterministic Miller-Rabin, exact for every m < 3,317,044,064,679,887,385,961,981.
+
+    Memoized: every `RingContext` checks its prime, and a run uses few.
+    """
     if m < 2:
         return False
     for q in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
@@ -153,7 +163,11 @@ def _eliminate(a: np.ndarray, p: int) -> int:
     differences unreduced.  The whole matrix is reduced once the steps since
     the last reduction reach `_lazy_window(p)`, and at the end, so the result
     is exact for every p < 2**31.  Where that window is one step, the
-    updated rows are reduced at each step instead.
+    updated rows are reduced at each step instead.  Rows are swapped and
+    updated from column c on only: left of it they are zero mod p.  A
+    column nonzero in more than half the rows updates the whole tail
+    a[:, c:] in place, with multiplier 0 in the other rows, rather than
+    gathering and scattering the rows it changes.
     """
     m, n = a.shape
     window = _lazy_window(p)
@@ -168,26 +182,32 @@ def _eliminate(a: np.ndarray, p: int) -> int:
         if i == nz.size:
             continue
         piv = int(nz[i])
+        row = a[piv, c:] % p
         if piv != r:
-            a[[r, piv]] = a[[piv, r]]
-        row = a[r, c:] % p
+            a[piv, c:] = a[r, c:]
         inv = pow(int(col[piv]), -1, p)
         if inv != 1:
             row *= inv
             row %= p
         a[r, c:] = row
         if nz.size > 1:
-            # the multiplier at nz[i] is zeroed: that row is the pivot row
-            # when piv == r and, after the swap, the old row r, which is
-            # zero in column c, when not
-            mult = col[nz]
-            mult[i] = 0
-            upd = a[nz, c:] - mult[:, None] * row
+            # the pivot row takes no update, and neither does the old row r
+            # now at piv, which is zero in column c
+            dense = 2 * nz.size > m
+            if dense:
+                col[r] = col[piv] = 0
+                upd = a[:, c:]
+                upd -= col[:, None] * row
+            else:
+                mult = col[nz]
+                mult[i] = 0
+                upd = a[nz, c:] - mult[:, None] * row
             if window == 1:
                 _reduce(upd, p)
             else:
                 lazy += 1
-            a[nz, c:] = upd
+            if not dense:
+                a[nz, c:] = upd
             if lazy == window:
                 _reduce(a, p)
                 lazy = 0
@@ -195,6 +215,38 @@ def _eliminate(a: np.ndarray, p: int) -> int:
     if lazy:
         _reduce(a, p)
     return r
+
+
+def _eliminate_panels(a: np.ndarray, p: int) -> int:
+    """`_eliminate` for a block of at most `_BLOCK` rows, by panels where it is wide.
+
+    A block of b rows and more than 2 b columns is eliminated column by
+    column only on [a[:, :b] | I], which records the row transform T that
+    brings its first b columns to RREF; one product applies T to the
+    trailing columns (the echelon form of FFLAS-FFPACK: Dumas, Giorgi and
+    Pernet, ACM TOMS 35(3), 2008).  Only the rows whose first b columns
+    vanished under T go on, eliminated the same way on the trailing
+    columns, and their pivots are back-substituted into the rows above,
+    whose pivots lie in the first b columns.  The result is the RREF
+    `_eliminate` gives.
+    """
+    b, w = a.shape
+    if w <= 2 * b:
+        return _eliminate(a, p)
+    panel = np.hstack([a[:, :b], np.eye(b, dtype=np.int64)])
+    _eliminate(panel, p)
+    # [R | T] in RREF: the rows with a pivot in R come first
+    k = int(np.count_nonzero(panel[:, :b].any(axis=1)))
+    trail = _dot(panel[:, b:], a[:, b:], p)
+    rt = _eliminate_panels(trail[k:], p) if k < b else 0
+    if k and rt:
+        new = trail[k : k + rt]
+        piv = np.argmax(new != 0, axis=1)
+        trail[:k] -= _dot(trail[:k, piv], new, p)
+        _sign_fix(trail[:k], p)
+    a[:, :b] = panel[:, :b]
+    a[:, b:] = trail
+    return k + rt
 
 
 def _reduced_prefix(a: np.ndarray) -> np.ndarray:
@@ -232,16 +284,18 @@ def _rref_inplace(a: np.ndarray, p: int) -> int:
     below it, and a matrix already in RREF is not eliminated at all.  The
     rows after that run are taken in blocks of `_BLOCK`: each block is
     reduced against the basis found so far with one product, its residual
-    is eliminated column by column on the columns where it is nonzero, and
-    the new pivots are back-substituted into the basis rows that meet them.
-    The basis is kept in the leading rows of `a` and sorted by pivot at the
-    end.  RREF is canonical, so the result is the one column-by-column
-    elimination gives.  Every product here has inner dimension at most
-    min(m, n); small matrices, matrices with no columns (which
-    `_reduced_prefix` cannot scan), and sizes and primes where such a
-    product would not be exact in float64, take that elimination directly.  (At
-    most `_BLOCK` rows, one block product and its back-substitution cost
-    more than the pivots a reduced run saves.)
+    is eliminated on the columns where it is nonzero (`_eliminate_panels`),
+    and the new pivots are back-substituted into the basis rows that meet
+    them.  The basis is kept in the leading rows of `a`, read through the
+    view a[:r] where a product needs every basis row, and sorted by pivot
+    at the end if the blocks found pivots out of order.  RREF is
+    canonical, so the result is the one column-by-column elimination
+    gives.  Every product here has inner dimension at most min(m, n);
+    small matrices, matrices with no columns (which `_reduced_prefix`
+    cannot scan), and sizes and primes where such a product would not be
+    exact in float64, take `_eliminate` directly.  (At most `_BLOCK` rows,
+    one block product and its back-substitution cost more than the pivots
+    a reduced run saves.)
     """
     m, n = a.shape
     if m <= _BLOCK or n == 0 or min(m, n) * (p - 1) * (p - 1) >= _F64_EXACT:
@@ -255,13 +309,15 @@ def _rref_inplace(a: np.ndarray, p: int) -> int:
         if r:
             hit = np.flatnonzero(blk[:, piv].any(axis=0))
             if hit.size:
+                # every basis row hit: read the view a[:r], not a gather
+                hit = slice(r) if hit.size == r else hit
                 blk -= _dot(blk[:, piv[hit]], a[hit], p)
                 _sign_fix(blk, p)
         cols = np.flatnonzero(blk.any(axis=0))
         if cols.size == 0:
             continue
         res = np.ascontiguousarray(blk[:, cols])
-        rb = _eliminate(res, p)
+        rb = _eliminate_panels(res, p)
         if rb == 0:
             continue
         res = res[:rb]
@@ -269,14 +325,15 @@ def _rref_inplace(a: np.ndarray, p: int) -> int:
         if r:
             meet = np.flatnonzero(a[:r, new_piv].any(axis=1))
             if meet.size:
-                met = a[meet]
-                upd = met[:, cols] - _dot(met[:, new_piv], res, p)
-                a[np.ix_(meet, cols)] = _sign_fix(upd, p)
+                meet = slice(r) if meet.size == r else meet[:, None]
+                upd = a[meet, cols] - _dot(a[meet, new_piv], res, p)
+                a[meet, cols] = _sign_fix(upd, p)
         a[r : r + rb] = 0
         a[r : r + rb, cols] = res
         piv = np.concatenate([piv, new_piv])
         r += rb
-    a[:r] = a[np.argsort(piv)]
+    if np.any(piv[1:] < piv[:-1]):
+        a[:r] = a[np.argsort(piv)]
     a[r:] = 0
     return r
 
@@ -295,6 +352,16 @@ def row_space(mat: np.ndarray, p: int) -> np.ndarray:
 
 def rank_of(mat: np.ndarray, p: int) -> int:
     return rref(mat, p)[1]
+
+
+def _row_space_inplace(a: np.ndarray, p: int) -> np.ndarray:
+    """`row_space` of an array handed over by its owner: reduced in place, with no copy.
+
+    `a` is a C-contiguous int64 array with entries in [0, p) that its
+    caller has just built and reads no more, so the copy and the range
+    check of `asmod` are skipped.  Returns the view a[:rank].
+    """
+    return a[: _rref_inplace(a, p)]
 
 
 def pivot_columns(basis: np.ndarray) -> np.ndarray:

@@ -114,6 +114,47 @@ def test_subspace_canonicalization():
         v.basis[0, 0] = 9  # read-only
 
 
+def test_subspace_from_rows_never_writes_to_the_callers_array():
+    ctx = RingContext(3, P)
+    sheaf = SplitSheaf((0, 1))
+    n = section_dim(sheaf, 3, ctx)
+    rows = np.random.default_rng(8).integers(0, P, size=(90, n)).astype(np.int64)
+    frozen = rows.copy()
+    frozen.setflags(write=False)
+    for mat in (rows, frozen, rows[::-1], np.asfortranarray(rows)):
+        before = mat.copy()
+        v = subspace_from_rows(ctx, sheaf, 3, mat)
+        assert np.array_equal(mat, before)
+        assert not np.shares_memory(v.basis, mat)
+
+
+def test_library_built_subspaces_equal_the_public_constructor():
+    # random draws, lex segments, multiply stacks and restriction products
+    # are reduced in place; the basis must be the one `GradedSubspace` gives
+    def same(v, rows):
+        want = GradedSubspace(v.context, v.sheaf, v.degree, rows)
+        assert v.basis.dtype == np.int64 and not v.basis.flags.writeable
+        assert np.array_equal(v.basis, want.basis) and v.basis.shape == want.basis.shape
+
+    for N, twists, degree, codim in ((2, (0,), 12, 2), (3, (0, 1), 3, 3), (4, (0,), 3, 1)):
+        ctx = RingContext(N, P)
+        sheaf = SplitSheaf(twists)
+        n = section_dim(sheaf, degree, ctx)
+        v = random_subspace(ctx, sheaf, degree, np.random.default_rng(N), dim=n - codim)
+        same(v, np.random.default_rng(N).integers(0, P, size=(n - codim, n)))
+        same(multiply(v, 1), graded._shifted_rows(v, 1))
+        res = restrict_to_hyperplane(v, seed=N)
+        ctx_h = RingContext(N - 1, P)
+        sub = graded._substitution_matrix(ctx_h, sheaf, degree, np.array(res.linear_form))
+        same(res.v_h, modp.matmul_mod(v.basis, sub, P))
+        same(res.v_preimage, res.v_preimage.basis.copy())
+        if twists == (0,):
+            lex = lex_segment_subspace(codim, degree, ctx)
+            same(lex, np.eye(n, dtype=np.int64)[: n - codim])
+            same(multiply(lex, 1), graded._shifted_rows(lex, 1))
+        same(full_space(ctx, sheaf, degree), np.eye(n, dtype=np.int64))
+
+
 def test_full_zero_and_lex_edges():
     ctx = RingContext(3, P)
     sheaf = SplitSheaf((0,))

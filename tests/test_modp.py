@@ -88,6 +88,93 @@ def test_rref_matches_column_elimination_and_is_canonical(p, m, n, rank, density
     assert np.array_equal(modp.rref(mat[rng.permutation(m)], p)[0], reduced)
 
 
+# residual blocks wider than twice their rows are eliminated by panels
+PANEL_PRIMES = (2, 3, 101, SWITCH_PRIME)
+
+
+def _panel_matrix(rng, p, m, w, b, panel_rank, rank, density=1.0):
+    """m x w: rank <= panel_rank on the first b columns, rank <= `rank` on the rest."""
+
+    def low_rank(rows, cols, k):
+        left = rng.integers(0, p, size=(rows, k)).astype(object)
+        return (left @ rng.integers(0, p, size=(k, cols)) % p).astype(np.int64)
+
+    mat = np.hstack([low_rank(m, b, panel_rank), low_rank(m, w - b, rank)])
+    return mat * (rng.random(mat.shape) < density)
+
+
+def _spy_on_panels(mp):
+    """Record the shape of every block `_eliminate_panels` is given."""
+    shapes = []
+    inner = modp._eliminate_panels
+
+    def spy(a, p):
+        shapes.append(a.shape)
+        return inner(a, p)
+
+    mp.setattr(modp, "_eliminate_panels", spy)
+    return shapes
+
+
+@settings(max_examples=60)
+@given(
+    p=st.sampled_from(PANEL_PRIMES),
+    b=st.integers(1, 64),
+    w=st.integers(129, 460),
+    # a zero first panel, a few panel pivots, or up to one per row
+    panel_rank=st.one_of(st.just(0), st.integers(1, 4), st.integers(0, 64)),
+    rank=st.integers(0, 64),
+    density=st.sampled_from((1.0, 0.05)),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(p=SWITCH_PRIME, b=64, w=460, panel_rank=0, rank=64, density=1.0, seed=0)
+@example(p=2, b=64, w=460, panel_rank=63, rank=64, density=1.0, seed=1)
+@example(p=101, b=64, w=129, panel_rank=64, rank=64, density=1.0, seed=2)
+@example(p=3, b=1, w=129, panel_rank=0, rank=1, density=1.0, seed=3)
+def test_panel_elimination_matches_column_elimination(p, b, w, panel_rank, rank, density, seed):
+    # `w` > 2 b, so every call takes the panel path at least once
+    rng = np.random.default_rng(seed)
+    mat = _panel_matrix(rng, p, b, w, b, min(panel_rank, b), min(rank, b), density)
+    by_column = mat.copy()
+    by_panel = mat.copy()
+    assert modp._eliminate_panels(by_panel, p) == modp._eliminate(by_column, p)
+    assert np.array_equal(by_panel, by_column)
+
+
+def test_panel_elimination_matches_sympy():
+    rng = np.random.default_rng(20261019)
+    # (rows, width, panel width, panel rank, trailing rank): a zero first
+    # panel, panel ranks below the row count, and widths up to 460
+    shapes = [(64, 460, 64, 0, 6), (64, 300, 64, 3, 5), (20, 460, 20, 0, 4), (30, 200, 30, 7, 8)]
+    for p in PANEL_PRIMES:
+        for b, w, pw, pr, tr in shapes:
+            mat = _panel_matrix(rng, p, b, w, pw, pr, tr)
+            panel = mat.copy()
+            r = modp._eliminate_panels(panel, p)
+            want = gfp_rref(mat.tolist(), p)
+            assert r == len(want) and panel[:r].tolist() == want, (p, b, w)
+            assert not panel[r:].any()
+
+
+def test_rref_eliminates_wide_residuals_by_panels():
+    rng = np.random.default_rng(20261020)
+    # past one block; low ranks on the first columns leave later blocks'
+    # residuals with rows whose first panel vanishes.  At SWITCH_PRIME the
+    # blocked path needs min(m, n) <= 99, so three blocks come only below it
+    cases = [(80, 460, 40, 2, 6), (99, 300, 70, 0, 5)]
+    for p in PANEL_PRIMES:
+        for m, n, pw, pr, tr in cases + [(130, 200, 64, 3, 4)] * (p < SWITCH_PRIME):
+            mat = _panel_matrix(rng, p, m, n, pw, pr, tr)
+            with pytest.MonkeyPatch.context() as mp:
+                shapes = _spy_on_panels(mp)
+                reduced, r = modp.rref(mat, p)
+            assert any(w > 2 * b for b, w in shapes), (p, m, n, shapes)
+            by_column = mat.copy()
+            assert r == modp._eliminate(by_column, p)
+            assert np.array_equal(reduced, by_column)
+            assert reduced[:r].tolist() == gfp_rref(mat.tolist(), p), (p, m, n)
+
+
 # The steps `_eliminate` may leave unreduced: about 4.5e14 at 101 (and more
 # at 2), 3 at 1073741827 and 1 at 2147483647, where it reduces the updated
 # rows at every step.
@@ -162,6 +249,37 @@ def test_reduced_prefix_is_reused_and_cannot_be_fooled():
     mat = np.vstack([basis, rng.integers(0, 2, size=(50, 120))])
     assert modp._reduced_prefix(mat).size == 90
     assert modp.row_space(mat, 2).tolist() == gfp_rref(mat.tolist(), 2)
+
+
+def _caller_arrays(p):
+    """Reduced int64 matrices as a caller may hold them: C-contiguous, read-only, strided."""
+    rng = np.random.default_rng(31)
+    for shape in ((12, 20), (150, 130)):
+        mat = rng.integers(0, p, size=shape).astype(np.int64)
+        mat[::3] = mat[1::3]  # rank-deficient, so nullspaces are not empty
+        frozen = mat.copy()
+        frozen.setflags(write=False)
+        yield mat
+        yield frozen
+        yield np.asfortranarray(mat)
+        yield mat[::2, ::-1]
+        yield frozen.T
+
+
+def test_public_calls_never_write_to_the_callers_array():
+    for p in (2, 101, 2147483647):
+        for mat in _caller_arrays(p):
+            before = mat.copy()
+            outs = [
+                modp.rref(mat, p)[0],
+                modp.row_space(mat, p),
+                modp.nullspace(mat, p),
+                modp.left_nullspace(mat, p),
+                modp.matmul_mod(mat, np.ascontiguousarray(mat.T), p),
+            ]
+            assert modp.rank_of(mat, p) == outs[1].shape[0]
+            assert np.array_equal(mat, before), (p, mat.shape, mat.flags)
+            assert not any(np.shares_memory(out, mat) for out in outs)
 
 
 def test_rref_pivot_structure():
@@ -376,6 +494,9 @@ def test_prime_checks():
     assert modp.is_prime(2147483647)
     assert not modp.is_prime(561)  # Carmichael
     assert not modp.is_prime(1)
+    # is_prime is memoized; an equal float is still refused with 101 cached
+    with pytest.raises((TypeError, ValueError)):
+        modp.check_prime(101.0)
 
 
 def test_rank_of_empty_and_zero():
