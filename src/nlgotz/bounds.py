@@ -83,6 +83,9 @@ class ThreefoldInvariants:
                 )
         if self.is_quadric and self.is_linear_p2_bundle:
             raise ValueError(f"{self.name}: the quadric is not a linear P^2-bundle")
+        if self.is_linear_p2_bundle and self.alpha != 4:
+            # K_Y + 3H is trivial on the fibres, which forces alpha = 4
+            raise ValueError(f"{self.name}: a linear P^2-bundle has alpha = 4")
         if self.subcanonical_e is not None and self.subcanonical_e <= 0 and self.beta != 1:
             raise ValueError(f"{self.name}: subcanonical e <= 0 forces beta = 1")
         if self.h3 is not None and self.h3 < 1:

@@ -245,14 +245,19 @@ def _column_maps(context: RingContext, sheaf: SplitSheaf, degree: int, t: int = 
     return maps
 
 
+def _scatter(rows: np.ndarray, maps: np.ndarray, width: int) -> np.ndarray:
+    """`rows` times each monomial of `maps` (see `_column_maps`), one block of rows per monomial."""
+    r = len(rows)
+    out = np.zeros((r * len(maps), width), dtype=np.int64)
+    for i, colmap in enumerate(maps):
+        out[i * r : (i + 1) * r, colmap] = rows
+    return out
+
+
 def _shifted_rows(v: GradedSubspace, t: int) -> np.ndarray:
     """The basis of V times each degree-t monomial, one block of rows per monomial."""
-    r = v.dim
     maps = _column_maps(v.context, v.sheaf, v.degree, t)
-    rows = np.zeros((r * len(maps), section_dim(v.sheaf, v.degree + t, v.context)), dtype=np.int64)
-    for i, colmap in enumerate(maps):
-        rows[i * r : (i + 1) * r, colmap] = v.basis
-    return rows
+    return _scatter(v.basis, maps, section_dim(v.sheaf, v.degree + t, v.context))
 
 
 def _times_linear_forms(v: GradedSubspace) -> GradedSubspace:
@@ -280,6 +285,17 @@ class GotzmannCheck:
     holds: bool
 
 
+def _contractions(v: GradedSubspace) -> np.ndarray:
+    """g[k, b, i] = u_k(x_i b): each functional of V^perp contracted by each variable.
+
+    u_k is the k-th basis functional of V^perp, read off V's RREF basis
+    (`modp.rref_kernel`), and b the b-th basis element of H^0(M(d - 1));
+    each u_k is gathered at the column maps of degree d - 1.
+    """
+    ctx = v.context
+    return modp.rref_kernel(v.basis, ctx.p)[:, _column_maps(ctx, v.sheaf, v.degree - 1).T]
+
+
 def _codim_times_linear_forms(v: GradedSubspace) -> int:
     """codim mu(V x S_1), counted on the annihilator V^perp of V.
 
@@ -291,20 +307,18 @@ def _codim_times_linear_forms(v: GradedSubspace) -> int:
     exactly when x_j o psi_i = x_i o psi_j on H^0(M(d - 1)) for all i < j.
     So codim V S_1 = (N + 1) c - rank K, for K the matrix of those
     conditions on (V^perp)^{N+1}: C(N + 1, 2) dim H^0(M(d - 1)) rows and
-    (N + 1) c columns.  V^perp is read off V's RREF basis and K is
-    gathered through the column maps of degree d - 1, so the only
-    elimination is that of K, taken in this tall orientation: each
-    column-by-column pass then walks only its (N + 1) c columns.
+    (N + 1) c columns.  Its entries are the contractions of V^perp
+    (`_contractions`), so the only elimination is that of K, taken in this
+    tall orientation: each column-by-column pass then walks only its
+    (N + 1) c columns.
     """
     c = v.codim
     if c == 0:
         return 0
     ctx = v.context
     nv = ctx.N + 1
-    # g[j, b, k] = u_k(x_j b) for u_k the k-th basis functional of V^perp
-    # and b the b-th basis element of H^0(M(d - 1))
-    g = modp.rref_kernel(v.basis, ctx.p)[:, _column_maps(ctx, v.sheaf, v.degree - 1)]
-    g = g.transpose(1, 2, 0)
+    # g[j, b, k] = u_k(x_j b)
+    g = _contractions(v).transpose(2, 1, 0)
     i, j = np.triu_indices(nv, 1)
     pairs = np.arange(i.size)
     k = np.zeros((i.size, g.shape[1], nv, c), dtype=np.int64)
@@ -349,42 +363,27 @@ def _substitution_matrix(
     P^{N-1} of `context_h`.  Restriction is the ring map x_i -> y_i for
     i < N and x_N -> mu . y, with mu = -(lam_0, ..., lam_{N-1}) / lam_N, so
     x^a goes to y^{a'} (mu . y)^{a_N}, a' = (a_0, ..., a_{N-1}).  Each power
-    (mu . y)^k is one exact product of the power before it with the
-    multiplication map of mu . y on P^{N-1}; in a block of degree m, the
-    rows with x_N-exponent k hold it shifted by their y^{a'}, at the columns
-    of `product_table(N, k, m - k)`.  Each summand's block is the map at its
-    own degree.
+    (mu . y)^k is mu times the products of the power before it with
+    y_0, ..., y_{N-1}, scattered through the column maps of degree k - 1.
+    The rows with x_N-exponent k, over all blocks, list their y^{a'} in the
+    basis order of H^0(M_H(degree - k)), and the column maps of degree
+    degree - k by the degree-k monomials place the power at their products.
     """
     p = context_h.p
     n = context_h.N + 1
     mu = (-lam[:n] * pow(int(lam[n]), -1, p)) % p
-    tgt, n_tgt = _layout(context_h, sheaf, degree)
+    # the x_N-exponent of each basis element of H^0(M(degree))
+    last = np.concatenate([exponent_table(n + 1, degree + a)[:, n] for a in sheaf.twists])
+    image = np.zeros((last.size, section_dim(sheaf, degree, context_h)), dtype=np.int64)
     line = SplitSheaf((0,))
-    powers = [np.ones((1, 1), dtype=np.int64)]
-    for k in range(1, max(block[1] for block in tgt) + 1):
-        powers.append(modp._dot(powers[-1], _linear_form_matrix(context_h, line, k, mu), p))
-    blocks = []
-    for _, m, _, toff in tgt:
-        exps = exponent_table(n + 1, m)
-        image = np.zeros((len(exps), n_tgt), dtype=np.int64)
-        for k in range(m + 1):
-            # these rows' y^{a'} run through degree m - k in lex order
-            rows = np.flatnonzero(exps[:, n] == k)
-            image[rows[:, None], toff + product_table(n, k, m - k)] = powers[k]
-        blocks.append(image)
-    return np.vstack(blocks)
-
-
-def _linear_form_matrix(
-    context: RingContext, sheaf: SplitSheaf, degree: int, lam: np.ndarray
-) -> np.ndarray:
-    """Matrix of multiplication by the linear form lam . x, one degree up."""
-    n_src = section_dim(sheaf, degree - 1, context)
-    m_l = np.zeros((n_src, section_dim(sheaf, degree, context)), dtype=np.int64)
-    # x_i times a monomial differs for each i, so no entry is written twice
-    maps = _column_maps(context, sheaf, degree - 1)
-    m_l[np.arange(n_src), maps] = np.asarray(lam, dtype=np.int64)[:, None] % context.p
-    return m_l
+    power = np.ones(1, dtype=np.int64)
+    for k in range(last.max() + 1):
+        if k:
+            shifted = _scatter(power[None], _column_maps(context_h, line, k - 1), dim_degree(n, k))
+            power = modp._dot(mu[None], shifted, p)[0]
+        rows = np.flatnonzero(last == k)
+        image[rows[:, None], _column_maps(context_h, sheaf, degree - k, k).T] = power
+    return image
 
 
 @dataclass(frozen=True)
@@ -411,17 +410,11 @@ def _restrict_once(v: GradedSubspace, lam: np.ndarray) -> RestrictionResult:
     sub = _substitution_matrix(ctx_h, v.sheaf, v.degree, lam)
     v_h = GradedSubspace._of_owned_rows(ctx_h, v.sheaf, v.degree, modp._dot(v.basis, sub, p))
 
-    # V^H = {f : l f in V} is the kernel of multiplication by l into S_d / V,
-    # whose coordinates are those of l f reduced by V off V's pivot columns;
-    # V's basis is the identity on its pivot columns, so only the free
-    # columns take a product
-    m_l = _linear_form_matrix(ctx, v.sheaf, v.degree, lam)
-    piv = modp.pivot_columns(v.basis)
-    free = np.ones(v.ambient_dim, dtype=bool)
-    free[piv] = False
-    quotient = modp._sign_fix(m_l[:, free] - modp._dot(m_l[:, piv], v.basis[:, free], p), p)
-    kernel = modp.left_nullspace(quotient, p)
-    v_pre = GradedSubspace._of_owned_rows(ctx, v.sheaf, v.degree - 1, kernel)
+    # V^H = {f : l f in V} is the common kernel of the contractions by l of
+    # V^perp: u(l f) = sum_i lam_i u(x_i f) for each functional u of V^perp
+    g = _contractions(v)
+    q = modp._dot(g.reshape(-1, ctx.N + 1), lam[:, None], p).reshape(g.shape[:2])
+    v_pre = GradedSubspace._of_owned_rows(ctx, v.sheaf, v.degree - 1, modp.nullspace(q, p))
 
     bound = lower_macaulay(c, v.degree)
     additivity = c == v_pre.codim + v_h.codim

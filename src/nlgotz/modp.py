@@ -400,11 +400,6 @@ def nullspace(mat: np.ndarray, p: int) -> np.ndarray:
     return np.ascontiguousarray(rref_kernel(a[:r], p)[::-1, ::-1])
 
 
-def left_nullspace(mat: np.ndarray, p: int) -> np.ndarray:
-    """RREF basis, as rows, of {w : w @ mat = 0} over F_p (see `nullspace`)."""
-    return nullspace(np.asarray(mat).T, p)
-
-
 def matmul_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     """(a @ b) % p, exact for every p < 2**31 (see `_dot`)."""
     return _dot(asmod(a, p), asmod(b, p), p)

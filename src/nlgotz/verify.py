@@ -409,12 +409,13 @@ def consistency_sweep(
     For each entry, variant, H^1 state and degree d <= d_max where the
     evaluator returns a floor F >= 1, the trace at c_hyp = F - 1 must confirm
     the contradiction; floors of 0 or less assert nothing and pass vacuously.
-    A sweep that meets no floor at all checks nothing and is refused.
+    A sweep that meets no floor of 1 or more checks nothing and is refused.
     """
     report = SuiteReport("consistency")
     if records is None:
         records = default_catalog()
     t = 0
+    traced = 0
     for rec in records:
         inv = rec.invariants
         for variant in ("minus_d_regular", "adjoint"):
@@ -439,6 +440,7 @@ def consistency_sweep(
                         t += 1
                         continue
                     trace = contradiction_trace(inv, spec, res.floor_value - 1)
+                    traced += 1
                     report.rows.append(
                         TrialRow(
                             "consistency",
@@ -450,8 +452,10 @@ def consistency_sweep(
                         )
                     )
                     t += 1
-    if not report.rows:
-        raise ValueError(f"no catalog entry has a floor at any d <= {d_max}; the sweep checks nothing")
+    if not traced:
+        raise ValueError(
+            f"no catalog entry has a floor of 1 or more at any d <= {d_max}; the sweep checks nothing"
+        )
     return report
 
 

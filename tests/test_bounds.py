@@ -58,6 +58,7 @@ def test_invariant_validation():
         dict(a_adj=5),
         dict(alpha=4),  # alpha = 4 without bundle or quadric structure
         dict(is_quadric=True, is_linear_p2_bundle=True, alpha=4),
+        dict(is_linear_p2_bundle=True, alpha=2),  # K_Y + 3H is trivial on the fibres
         dict(subcanonical_e=0, beta=2),
         dict(h3=0),
     ]

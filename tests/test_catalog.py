@@ -114,6 +114,11 @@ def test_invalid_invariants_rejected_with_context():
         loads_catalog(_record_text(alpha="0"))
 
 
+def test_p2_bundle_with_alpha_other_than_4_rejected():
+    with pytest.raises(CatalogError, match="record starting at line 1: .*alpha = 4"):
+        loads_catalog(_record_text(alpha="2", is_linear_p2_bundle="true"))
+
+
 def test_subcanonical_cross_check():
     # e = 0 derives (1, 1, 1, 1); stating alpha = 2 must be caught
     with pytest.raises(CatalogError, match="disagree"):

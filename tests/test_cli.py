@@ -89,6 +89,18 @@ def test_bound_inline_missing_flags(capsys):
     assert "--beta" in capsys.readouterr().err
 
 
+def test_bound_rejects_a_p2_bundle_with_alpha_other_than_4(capsys):
+    # the floor formula assumes alpha = 4, so alpha = 2 would get a floor
+    # (52 here) that its own trace refutes
+    code = main(
+        ["bound", "--variant", "minus-d-regular", "-d", "60", "--h1-zero", "--alpha", "2",
+         "--beta", "3", "--a-adj", "4", "--b-adj", "1", "--p2-bundle", "--trace", "51"]
+    )
+    captured = capsys.readouterr()
+    assert code == 2
+    assert "alpha = 4" in captured.err and "floor:" not in captured.out
+
+
 def test_bound_p3_is_out_of_domain(capsys):
     assert main(["bound", "--variant", "adjoint", "-d", "12", "--p3"]) == 2
     assert "out_of_domain" in capsys.readouterr().out
@@ -169,6 +181,7 @@ def test_verify_reports_violations(monkeypatch, capsys):
         ["restriction", "--trials", "0"],
         ["growth", "--nmax", "0"],
         ["consistency", "--trace-dmax", "0"],
+        ["consistency", "--trace-dmax", "3"],  # every floor there is vacuous
         ["green-scan", "--dmax", "1"],
         ["macaulay", "--trials", "-3"],
     ],
@@ -215,11 +228,11 @@ def test_verify_koszul_reports_an_uncertified_witness(capsys):
 
 
 def test_verify_reports_a_failed_identity_as_a_violation(monkeypatch, capsys):
-    def zero_map(context, sheaf, degree, lam):
-        n_src = graded.section_dim(sheaf, degree - 1, context)
-        return np.zeros((n_src, graded.section_dim(sheaf, degree, context)), dtype=np.int64)
+    def zero_map(v):
+        n_src = graded.section_dim(v.sheaf, v.degree - 1, v.context)
+        return np.zeros((v.codim, n_src, v.context.N + 1), dtype=np.int64)
 
-    monkeypatch.setattr(graded, "_linear_form_matrix", zero_map)
+    monkeypatch.setattr(graded, "_contractions", zero_map)
     assert main(["verify", "restriction", "--trials", "2", "--format", "csv"]) == 4
     rows = capsys.readouterr().out.splitlines()[1:]
     assert len(rows) == 2

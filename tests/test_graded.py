@@ -463,13 +463,12 @@ def test_restriction_raises_at_once_when_additivity_fails(monkeypatch):
     # a wrong multiplication map breaks the identity for every hyperplane
     calls = []
 
-    def zero_map(context, sheaf, degree, lam):
-        if context.N == 3:  # one preimage map per draw; the rest build restriction maps
-            calls.append(lam)
-        n_src = section_dim(sheaf, degree - 1, context)
-        return np.zeros((n_src, section_dim(sheaf, degree, context)), dtype=np.int64)
+    def zero_map(v):
+        calls.append(v)  # one preimage build per draw
+        n_src = section_dim(v.sheaf, v.degree - 1, v.context)
+        return np.zeros((v.codim, n_src, v.context.N + 1), dtype=np.int64)
 
-    monkeypatch.setattr(graded, "_linear_form_matrix", zero_map)
+    monkeypatch.setattr(graded, "_contractions", zero_map)
     v = lex_segment_subspace(5, 2, RingContext(3, P))
     with pytest.raises(AdditivityError, match="codim V != codim V"):
         restrict_to_hyperplane(v, seed=1)

