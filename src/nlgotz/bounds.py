@@ -77,12 +77,22 @@ class ThreefoldInvariants:
         if not self.is_p3:
             if self.alpha > 4 or self.a_adj > 4:
                 raise ValueError(f"{self.name}: alpha and a_adj cannot exceed 4 off P^3")
-            if self.alpha == 4 and not (self.is_linear_p2_bundle or self.is_quadric):
+            if (self.alpha == 4 or self.a_adj == 4) and not (
+                self.is_linear_p2_bundle or self.is_quadric
+            ):
+                key = "alpha" if self.alpha == 4 else "a_adj"
                 raise ValueError(
-                    f"{self.name}: alpha = 4 forces a linear P^2-bundle or the quadric"
+                    f"{self.name}: {key} = 4 forces a linear P^2-bundle or the quadric"
                 )
         if self.is_quadric and self.is_linear_p2_bundle:
             raise ValueError(f"{self.name}: the quadric is not a linear P^2-bundle")
+        if self.is_quadric:
+            stated = (self.alpha, self.beta, self.a_adj, self.b_adj)
+            if self.subcanonical_e not in (None, -3) or stated != _QUADRIC_INVARIANTS:
+                raise ValueError(
+                    f"{self.name}: the quadric has K = -3H, so subcanonical e = -3 and "
+                    f"(alpha, beta, a_adj, b_adj) = {_QUADRIC_INVARIANTS}, not {stated}"
+                )
         if self.is_linear_p2_bundle and self.alpha != 4:
             # K_Y + 3H is trivial on the fibres, which forces alpha = 4
             raise ValueError(f"{self.name}: a linear P^2-bundle has alpha = 4")
@@ -147,6 +157,10 @@ def derive_subcanonical_invariants(e: int) -> tuple[int, int, int, int]:
         raise ValueError("subcanonical derivation expects e <= 1")
     alpha = max(1, 1 - e)
     return alpha, max(1, 1 + e), 1 - e, 1
+
+
+# K_Q = -3H on the quadric threefold
+_QUADRIC_INVARIANTS = derive_subcanonical_invariants(-3)
 
 
 def n_of(d: int, a: int, b: int) -> int:

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import lru_cache
 from itertools import combinations
 
 import numpy as np
@@ -103,9 +104,8 @@ def is_cm_regular(sheaf: SplitSheaf) -> bool:
     return all(a >= 0 for a in sheaf.twists)
 
 
-def _layout(context: RingContext, sheaf: SplitSheaf, degree: int):
-    """Per-summand (twist, block degree, block dim, column offset)."""
-    nv = context.N + 1
+def _layout(nv: int, sheaf: SplitSheaf, degree: int):
+    """Per-summand (twist, block degree, block dim, column offset), in nv variables."""
     blocks = []
     off = 0
     for a in sheaf.twists:
@@ -118,7 +118,7 @@ def _layout(context: RingContext, sheaf: SplitSheaf, degree: int):
 
 def section_dim(sheaf: SplitSheaf, degree: int, context: RingContext) -> int:
     """dim H^0(M(degree)) = sum of C(N + degree + a_j, N) over the summands."""
-    return _layout(context, sheaf, degree)[1]
+    return _layout(context.N + 1, sheaf, degree)[1]
 
 
 @dataclass(frozen=True, eq=False)
@@ -156,7 +156,19 @@ class GradedSubspace:
         (see `modp._row_space_inplace`): the copy and range check of the
         public constructor are skipped.
         """
-        basis = modp._row_space_inplace(rows, context.p)
+        return cls._of_rref_rows(context, sheaf, degree, modp._row_space_inplace(rows, context.p))
+
+    @classmethod
+    def _of_rref_rows(
+        cls, context: RingContext, sheaf: SplitSheaf, degree: int, basis: np.ndarray
+    ) -> GradedSubspace:
+        """The subspace whose canonical basis is `basis`, taken as it is.
+
+        `basis` is an int64 array the library has just built that is already
+        the RREF basis `GradedSubspace` would compute (identity rows, or a
+        kernel from `modp.nullspace`), and that nothing else writes: it is
+        neither copied nor eliminated again, only made read-only.
+        """
         basis.setflags(write=False)
         v = object.__new__(cls)
         v.__dict__.update(context=context, sheaf=sheaf, degree=degree, basis=basis)
@@ -177,12 +189,12 @@ class GradedSubspace:
 
 def full_space(context: RingContext, sheaf: SplitSheaf, degree: int) -> GradedSubspace:
     n = section_dim(sheaf, degree, context)
-    return GradedSubspace._of_owned_rows(context, sheaf, degree, np.eye(n, dtype=np.int64))
+    return GradedSubspace._of_rref_rows(context, sheaf, degree, np.eye(n, dtype=np.int64))
 
 
 def zero_subspace(context: RingContext, sheaf: SplitSheaf, degree: int) -> GradedSubspace:
     n = section_dim(sheaf, degree, context)
-    return GradedSubspace(context, sheaf, degree, np.zeros((0, n), dtype=np.int64))
+    return GradedSubspace._of_rref_rows(context, sheaf, degree, np.zeros((0, n), dtype=np.int64))
 
 
 def subspace_from_rows(
@@ -204,7 +216,7 @@ def lex_segment_subspace(c: int, degree: int, context: RingContext) -> GradedSub
     n = section_dim(sheaf, degree, context)
     if not 0 <= c <= n:
         raise ValueError(f"codimension {c} out of range for ambient dimension {n}")
-    return GradedSubspace._of_owned_rows(context, sheaf, degree, np.eye(n, dtype=np.int64)[: n - c])
+    return GradedSubspace._of_rref_rows(context, sheaf, degree, np.eye(n - c, n, dtype=np.int64))
 
 
 def random_subspace(
@@ -233,15 +245,21 @@ def _column_maps(context: RingContext, sheaf: SplitSheaf, degree: int, t: int = 
 
     Row k, entry j is the column of the k-th degree-t monomial (lex order;
     for t = 1 the variable x_k) times basis element j of H^0(M(degree))
-    inside the basis of H^0(M(degree + t)).
+    inside the basis of H^0(M(degree + t)).  Built once per shape and
+    read-only; it does not depend on p.
     """
-    nv = context.N + 1
-    src, n_src = _layout(context, sheaf, degree)
-    tgt, _ = _layout(context, sheaf, degree + t)
+    return _maps_of_shape(context.N + 1, sheaf, degree, t)
+
+
+@lru_cache(maxsize=None)
+def _maps_of_shape(nv: int, sheaf: SplitSheaf, degree: int, t: int) -> np.ndarray:
+    src, n_src = _layout(nv, sheaf, degree)
+    tgt, _ = _layout(nv, sheaf, degree + t)
     maps = np.empty((dim_degree(nv, t), n_src), dtype=np.int64)
     for (_, m, dim, off), (_, _, _, toff) in zip(src, tgt):
         if dim:
             maps[:, off : off + dim] = toff + product_table(nv, m, t)
+    maps.setflags(write=False)
     return maps
 
 
@@ -354,6 +372,32 @@ def check_macaulay_gotzmann(v: GradedSubspace) -> GotzmannCheck:
     return GotzmannCheck(codim=c, codim_next=codim_next, bound=bound, holds=codim_next <= bound)
 
 
+@lru_cache(maxsize=None)
+def _substitution_layout(n: int, sheaf: SplitSheaf, degree: int):
+    """The part of `_substitution_matrix` that does not depend on the hyperplane.
+
+    For the map from H^0(M(degree)) on P^n to H^0(M_H(degree)) on a
+    hyperplane P^{n-1}: the matrix shape; the rows of the basis elements free
+    of x_n, which restriction sends to the basis of H^0(M_H(degree)) in
+    order; and for each x_n-exponent k, the flat indices in the matrix
+    where the rows with that exponent take the degree-k monomials of
+    (mu . y)^k, and the column maps that scatter (mu . y)^{k-1} one degree
+    up (None at k = 0).  Every array is read-only.
+    """
+    line = SplitSheaf((0,))
+    last = np.concatenate([exponent_table(n + 1, degree + a)[:, n] for a in sheaf.twists])
+    width = _layout(n, sheaf, degree)[1]
+    groups = []
+    for k in range(last.max() + 1):
+        rows = np.flatnonzero(last == k)
+        cells = rows[:, None] * width + _maps_of_shape(n, sheaf, degree - k, k).T
+        cells.setflags(write=False)
+        groups.append((cells, _maps_of_shape(n, line, k - 1, 1) if k else None))
+    free = np.flatnonzero(last == 0)
+    free.setflags(write=False)
+    return (last.size, width), free, tuple(groups)
+
+
 def _substitution_matrix(
     context_h: RingContext, sheaf: SplitSheaf, degree: int, lam: np.ndarray
 ) -> np.ndarray:
@@ -367,28 +411,32 @@ def _substitution_matrix(
     y_0, ..., y_{N-1}, scattered through the column maps of degree k - 1.
     The rows with x_N-exponent k, over all blocks, list their y^{a'} in the
     basis order of H^0(M_H(degree - k)), and the column maps of degree
-    degree - k by the degree-k monomials place the power at their products.
+    degree - k by the degree-k monomials place the power at their products;
+    those places come from `_substitution_layout`, so only mu and its
+    powers are computed here.
     """
     p = context_h.p
     n = context_h.N + 1
     mu = (-lam[:n] * pow(int(lam[n]), -1, p)) % p
-    # the x_N-exponent of each basis element of H^0(M(degree))
-    last = np.concatenate([exponent_table(n + 1, degree + a)[:, n] for a in sheaf.twists])
-    image = np.zeros((last.size, section_dim(sheaf, degree, context_h)), dtype=np.int64)
-    line = SplitSheaf((0,))
+    shape, _, groups = _substitution_layout(n, sheaf, degree)
+    image = np.zeros(shape, dtype=np.int64)
+    flat = image.reshape(-1)
     power = np.ones(1, dtype=np.int64)
-    for k in range(last.max() + 1):
+    for k, (cells, maps) in enumerate(groups):
         if k:
-            shifted = _scatter(power[None], _column_maps(context_h, line, k - 1), dim_degree(n, k))
-            power = modp._dot(mu[None], shifted, p)[0]
-        rows = np.flatnonzero(last == k)
-        image[rows[:, None], _column_maps(context_h, sheaf, degree - k, k).T] = power
+            power = modp._dot(mu[None], _scatter(power[None], maps, dim_degree(n, k)), p)[0]
+        flat[cells] = power
     return image
 
 
 @dataclass(frozen=True)
 class RestrictionResult:
-    """A generic hyperplane restriction together with the two exact checks."""
+    """A generic hyperplane restriction together with the two exact checks.
+
+    `additivity_holds` is the exact check of `_restrict_once`: additivity
+    itself, or where V_H comes from the annihilator, V (sub Phi^T) = 0
+    together with the additivity count.
+    """
 
     v_h: GradedSubspace
     v_preimage: GradedSubspace
@@ -402,22 +450,61 @@ class RestrictionResult:
     attempts: int
 
 
+def _restricts_by_annihilator(v: GradedSubspace) -> bool:
+    """Whether `_restrict_once` takes V_H from the annihilator of V.
+
+    True when dim V > dim S_d(H), that is when V times the substitution
+    matrix, the matrix the elimination route reduces, has more rows than
+    columns.  The annihilator route's matrices have codim V rows, and on
+    the restriction suite's families and the benchmark's subspaces it was
+    the faster route on that side of the line, and about as fast within
+    a few rows of it.  A size comparison, not a setting: both routes give
+    the same bases.
+    """
+    return v.dim > _layout(v.context.N, v.sheaf, v.degree)[1]
+
+
 def _restrict_once(v: GradedSubspace, lam: np.ndarray) -> RestrictionResult:
+    """V_H and V^H for the hyperplane {lam . x = 0}, with the check that stands for additivity.
+
+    V^H = {f : l f in V} is the common kernel of the contractions by l of
+    V^perp, Q^T (u(l f) = sum_i lam_i u(x_i f) for each functional u of
+    V^perp).  V_H comes by whichever route has the smaller matrices:
+
+    - elimination: the row space of V times the substitution matrix, dim V
+      x dim S_d(H); codim V = codim V^H + codim V_H then checks both.
+    - annihilator: the left kernel A of Q^T picks the functionals a . u
+      that kill l S_{d-1}, which are those that factor through restriction;
+      restriction sends the monomials free of x_N to the basis of S_d(H),
+      so V_H^perp is Phi = A K read on those columns (K the functionals
+      of V^perp), and V_H the kernel of Phi: no elimination of V.  Here
+      the count holds by rank-nullity, so the check is V (sub Phi^T) = 0,
+      two thin products, with the count: together they prove that the
+      kernel of Phi is the image of V, given V^H.
+
+    The route is `_restricts_by_annihilator`.
+    """
     ctx = v.context
     p = ctx.p
     c = v.codim
     ctx_h = RingContext(ctx.N - 1, p)
     sub = _substitution_matrix(ctx_h, v.sheaf, v.degree, lam)
-    v_h = GradedSubspace._of_owned_rows(ctx_h, v.sheaf, v.degree, modp._dot(v.basis, sub, p))
-
-    # V^H = {f : l f in V} is the common kernel of the contractions by l of
-    # V^perp: u(l f) = sum_i lam_i u(x_i f) for each functional u of V^perp
     g = _contractions(v)
     q = modp._dot(g.reshape(-1, ctx.N + 1), lam[:, None], p).reshape(g.shape[:2])
-    v_pre = GradedSubspace._of_owned_rows(ctx, v.sheaf, v.degree - 1, modp.nullspace(q, p))
+    if _restricts_by_annihilator(v):
+        pre, a = modp._kernels(q, p)
+        free = _substitution_layout(ctx.N, v.sheaf, v.degree)[1]
+        phi = modp._dot(a, modp.rref_kernel(v.basis, p)[:, free], p)
+        v_h = GradedSubspace._of_rref_rows(ctx_h, v.sheaf, v.degree, modp.nullspace(phi, p))
+        images_vanish = not modp._dot(v.basis, modp._dot(sub, phi.T, p), p).any()
+    else:
+        pre = modp.nullspace(q, p)
+        v_h = GradedSubspace._of_owned_rows(ctx_h, v.sheaf, v.degree, modp._dot(v.basis, sub, p))
+        images_vanish = True
+    v_pre = GradedSubspace._of_rref_rows(ctx, v.sheaf, v.degree - 1, pre)
 
     bound = lower_macaulay(c, v.degree)
-    additivity = c == v_pre.codim + v_h.codim
+    additivity = images_vanish and c == v_pre.codim + v_h.codim
     return RestrictionResult(
         v_h=v_h,
         v_preimage=v_pre,
@@ -440,7 +527,10 @@ def restrict_to_hyperplane(
     Draws a linear form with nonzero last coordinate from the seeded
     generator.  The additivity identity codim V = codim V^H + codim V_H holds
     for every hyperplane H, by the exact sequence 0 -> S_{d-1} -> S_d ->
-    S_{H,d} -> 0, so a draw that breaks it raises AdditivityError at once.
+    S_{H,d} -> 0, so a draw that breaks it raises AdditivityError at once;
+    where V_H comes from the annihilator of V, which makes the identity hold
+    by construction, the check that stands for it (see `_restrict_once`)
+    raises the same error.
     The restriction bound codim V_H <= lower_macaulay(codim V, degree) is a
     statement about a generic H (Green, LNM 1389, 1989).  codim V_H is
     smallest at a generic H, so any draw that meets the bound certifies it,

@@ -343,18 +343,34 @@ def green_implication_scan(c_max: int, d_max: int) -> list[tuple[int, int, int]]
         c' <= c'_<d> + (c - c')_<d-1>   implies   c' <= c_<d>.
 
     Returns the list of (c, c', d) triples where the premise holds but the
-    conclusion fails; an exhaustive scan is expected to return none.
+    conclusion fails, ordered by d, then c, then c'; an exhaustive scan is
+    expected to return none.
+
+    c -> c_<d> is nondecreasing, and each table is checked to be (an
+    AssertionError if not).  So for each c' the conclusion fails exactly
+    for c in [c', hi), hi the first c with c_<d> >= c', and the premise
+    holds exactly for c >= c' + J, J the first j with j_<d-1> >= c' - c'_<d>:
+    two searchsorted calls per degree find every hit, with no (c, c')
+    triangle.
     """
     if c_max < 0 or d_max < 2:
         return []
     hits: list[tuple[int, int, int]] = []
+    cp = np.arange(c_max + 1)
     for d in range(2, d_max + 1):
         low_d = _lower_table(c_max, d)
         low_prev = _lower_table(c_max, d - 1)
-        for c in range(c_max + 1):
-            cp = np.arange(c + 1)
-            premise = cp <= low_d[: c + 1] + low_prev[c::-1]
-            bad = premise & (cp > low_d[c])
-            for j in np.nonzero(bad)[0]:
-                hits.append((c, int(j), d))
+        for table, degree in ((low_d, d), (low_prev, d - 1)):
+            if np.any(table[1:] < table[:-1]):
+                raise AssertionError(f"c -> c_<{degree}> decreases somewhere in 0..{c_max}")
+        hi = np.maximum(cp, np.searchsorted(low_d, cp, side="left"))
+        lo = cp + np.searchsorted(low_prev, cp - low_d, side="left")
+        count = np.maximum(hi - lo, 0)
+        if not count.any():
+            continue
+        cps = np.repeat(cp, count)
+        # each c' contributes the run lo[c'], lo[c'] + 1, ..., hi[c'] - 1
+        cs = np.repeat(lo - np.cumsum(count) + count, count) + np.arange(cps.size)
+        order = np.lexsort((cps, cs))
+        hits.extend((int(c), int(j), d) for c, j in zip(cs[order], cps[order]))
     return hits

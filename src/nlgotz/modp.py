@@ -397,7 +397,29 @@ def nullspace(mat: np.ndarray, p: int) -> np.ndarray:
     so the vectors, ordered by f, are already the canonical basis.
     """
     a, r = rref(np.atleast_2d(mat)[:, ::-1], p)
-    return np.ascontiguousarray(rref_kernel(a[:r], p)[::-1, ::-1])
+    return _kernel_of_reversed(a[:r], p)
+
+
+def _kernel_of_reversed(basis: np.ndarray, p: int) -> np.ndarray:
+    """The RREF kernel basis of a matrix whose columns reversed have the RREF basis `basis`."""
+    return np.ascontiguousarray(rref_kernel(basis, p)[::-1, ::-1])
+
+
+def _kernels(mat: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
+    """(`nullspace(mat)`, a basis of the left kernel {y : y @ mat = 0}), by one elimination.
+
+    `mat` holds reduced entries.  [mat with its columns reversed | I] is
+    row reduced: its rows with a pivot in the first part are the RREF that
+    `nullspace` reads the kernel from, and the identity part of the other
+    rows, zero on `mat`, is a basis of the left kernel.
+    """
+    m, n = mat.shape
+    a = np.zeros((m, n + m), dtype=np.int64)
+    a[:, :n] = mat[:, ::-1]
+    a[:, n:] = np.eye(m, dtype=np.int64)
+    _rref_inplace(a, p)
+    r = int(np.count_nonzero(a[:, :n].any(axis=1)))
+    return _kernel_of_reversed(a[:r, :n], p), a[r:, n:]
 
 
 def matmul_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:

@@ -1,7 +1,8 @@
 """Independent recomputation paths used to pin down expected values.
 
 Nothing in this module imports from nlgotz.  Binomials come from the
-Pascal recurrence, expansions from exhaustive search, matrix ranks,
+Pascal recurrence, expansions from exhaustive search, the restriction
+implication's counterexamples from the whole (c, c') triangle, matrix ranks,
 reduced echelon forms and kernels from sympy's exact GF(p) arithmetic,
 polynomial images and preimages from dict-based exponent bookkeeping, and
 rational base points from evaluating at every point of P^N(F_p).  Tests
@@ -14,6 +15,7 @@ from __future__ import annotations
 import itertools
 import math
 
+import numpy as np
 from sympy.polys.domains import GF
 from sympy.polys.matrices import DomainMatrix
 
@@ -76,6 +78,27 @@ def all_decompositions(c: int, d: int) -> list[tuple[int, ...]]:
     if c < 0 or d < 1:
         raise ValueError("need c >= 0 and d >= 1")
     return search(c, d, c + d)
+
+
+def green_triangle(c_max: int, d_max: int, lower_table) -> list[tuple[int, int, int]]:
+    """Every (c, c', d) whose premise holds and conclusion fails, over the whole triangle.
+
+    The implication is c' <= c'_<d> + (c - c')_<d-1>  =>  c' <= c_<d> for
+    0 <= c' <= c <= c_max and 2 <= d <= d_max; `lower_table(c_max, d)` gives
+    c_<d> for c = 0..c_max.  Each c tests every c' <= c, with no use of
+    monotonicity, and the hits come ordered by d, then c, then c'.
+    """
+    hits = []
+    for d in range(2, d_max + 1):
+        low_d = lower_table(c_max, d)
+        low_prev = lower_table(c_max, d - 1)
+        for c in range(c_max + 1):
+            cp = np.arange(c + 1)
+            premise = cp <= low_d[: c + 1] + low_prev[c::-1]
+            bad = premise & (cp > low_d[c])
+            for j in np.nonzero(bad)[0]:
+                hits.append((c, int(j), d))
+    return hits
 
 
 def _domain_rref(rows, p: int):

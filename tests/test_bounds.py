@@ -57,6 +57,7 @@ def test_invariant_validation():
         dict(alpha=5),
         dict(a_adj=5),
         dict(alpha=4),  # alpha = 4 without bundle or quadric structure
+        dict(a_adj=4),  # a_adj = 4 likewise
         dict(is_quadric=True, is_linear_p2_bundle=True, alpha=4),
         dict(is_linear_p2_bundle=True, alpha=2),  # K_Y + 3H is trivial on the fibres
         dict(subcanonical_e=0, beta=2),
@@ -69,8 +70,29 @@ def test_invariant_validation():
             inv.validate()
     # alpha = 4 is fine on P^3, on the quadric, and on a linear P^2-bundle
     ThreefoldInvariants(**{**base, "alpha": 4, "is_p3": True}).validate()
-    ThreefoldInvariants(**{**base, "alpha": 4, "is_quadric": True}).validate()
+    ThreefoldInvariants(**{**base, "alpha": 4, "a_adj": 4, "is_quadric": True}).validate()
     ThreefoldInvariants(**{**base, "alpha": 4, "is_linear_p2_bundle": True}).validate()
+    ThreefoldInvariants(**{**base, "a_adj": 4, "is_p3": True}).validate()
+    ThreefoldInvariants(
+        **{**base, "alpha": 4, "a_adj": 4, "is_linear_p2_bundle": True}
+    ).validate()
+
+
+def test_the_quadric_has_the_invariants_of_k_equal_minus_3h():
+    # K_Q = -3H: (alpha, beta, a_adj, b_adj) = (4, 1, 4, 1) and e = -3 if given
+    quadric = dict(name="q", alpha=4, beta=1, a_adj=4, b_adj=1, is_quadric=True)
+    ThreefoldInvariants(**quadric).validate()
+    ThreefoldInvariants(**quadric, subcanonical_e=-3).validate()
+    for override in (
+        dict(beta=2),  # the floor d - 5 was then refuted by its own chain
+        dict(b_adj=2),
+        dict(a_adj=3),
+        dict(alpha=3, a_adj=3),
+        dict(subcanonical_e=-2),
+        dict(subcanonical_e=0),
+    ):
+        with pytest.raises(ValueError, match="quadric has K = -3H"):
+            ThreefoldInvariants(**{**quadric, **override}).validate()
 
 
 def test_bundle_spec_validation():

@@ -119,6 +119,15 @@ def test_p2_bundle_with_alpha_other_than_4_rejected():
         loads_catalog(_record_text(alpha="2", is_linear_p2_bundle="true"))
 
 
+def test_quadric_with_other_invariants_rejected():
+    quadric = dict(alpha="4", beta="1", a_adj="4", b_adj="1", is_quadric="true")
+    assert loads_catalog(_record_text(**quadric))[0].invariants.is_quadric
+    with pytest.raises(CatalogError, match="record starting at line 1: .*quadric has K = -3H"):
+        loads_catalog(_record_text(**{**quadric, "beta": "2"}))
+    with pytest.raises(CatalogError, match="record starting at line 1: .*a_adj = 4 forces"):
+        loads_catalog(_record_text(a_adj="4"))
+
+
 def test_subcanonical_cross_check():
     # e = 0 derives (1, 1, 1, 1); stating alpha = 2 must be caught
     with pytest.raises(CatalogError, match="disagree"):

@@ -1,6 +1,7 @@
 """CLI behaviour: output formats, exit codes, environment overrides."""
 
 import hashlib
+import json
 import os
 import subprocess
 import sys
@@ -99,6 +100,28 @@ def test_bound_rejects_a_p2_bundle_with_alpha_other_than_4(capsys):
     captured = capsys.readouterr()
     assert code == 2
     assert "alpha = 4" in captured.err and "floor:" not in captured.out
+
+
+def test_bound_rejects_a_quadric_with_other_invariants(capsys):
+    # beta = 2 on the quadric got the floor 15, which its own trace refuted
+    code = main(
+        ["bound", "--variant", "minus-d-regular", "-d", "20", "--h1-zero", "--alpha", "4",
+         "--beta", "2", "--a-adj", "4", "--b-adj", "1", "--quadric", "--trace", "14"]
+    )
+    captured = capsys.readouterr()
+    assert code == 2
+    assert "quadric has K = -3H" in captured.err and "floor:" not in captured.out
+
+
+def test_bound_rejects_a_adj_4_off_bundles_and_the_quadric(capsys):
+    # the adjoint floor 5 here was refuted by its own trace
+    code = main(
+        ["bound", "--variant", "adjoint", "-d", "12", "--h1-zero", "--alpha", "1",
+         "--beta", "1", "--a-adj", "4", "--b-adj", "2", "--trace", "4"]
+    )
+    captured = capsys.readouterr()
+    assert code == 2
+    assert "a_adj = 4 forces" in captured.err and "floor:" not in captured.out
 
 
 def test_bound_p3_is_out_of_domain(capsys):
@@ -218,6 +241,16 @@ def test_verify_thresholds_csv_is_pinned(capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == (
         "b358f66c93b686636c74eb8ab8d9cce23dbf84c8ab9bb29542d61da597050cae"
     )
+
+
+def test_verify_all_csv_matches_the_recorded_digest(capsys):
+    # the benchmark pins the `verify all` CSV of each seed; seed 0 here keeps
+    # every suite's verdicts bit-identical in the tests too
+    digests = Path(__file__).resolve().parents[1] / "perfbench" / "digests.json"
+    recorded = json.loads(digests.read_text())["verify-all"]["0"]
+    assert main(["verify", "all", "--seed", "0", "--format", "csv"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == recorded
 
 
 def test_verify_koszul_reports_an_uncertified_witness(capsys):

@@ -475,6 +475,110 @@ def test_restriction_raises_at_once_when_additivity_fails(monkeypatch):
     assert len(calls) == 1
 
 
+def test_annihilator_route_raises_at_once_when_its_check_fails(monkeypatch):
+    # codim 1 in S_4 on P^3 takes the annihilator route, where the count
+    # holds by rank-nullity: the check V (sub Phi^T) = 0 must catch the map
+    ctx = RingContext(3, P)
+    sheaf = SplitSheaf((0,))
+    n = section_dim(sheaf, 4, ctx)
+    for v in (
+        lex_segment_subspace(1, 4, ctx),
+        random_subspace(ctx, sheaf, 4, np.random.default_rng(4), dim=n - 1),
+    ):
+        assert v.codim == 1 and graded._restricts_by_annihilator(v)
+        assert restrict_to_hyperplane(v, seed=1).additivity_holds
+        calls = []
+
+        def zero_map(v):
+            calls.append(v)
+            n_src = section_dim(v.sheaf, v.degree - 1, v.context)
+            return np.zeros((v.codim, n_src, v.context.N + 1), dtype=np.int64)
+
+        with monkeypatch.context() as m:
+            m.setattr(graded, "_contractions", zero_map)
+            with pytest.raises(AdditivityError, match="codim V != codim V"):
+                restrict_to_hyperplane(v, seed=1)
+        assert len(calls) == 1
+
+
+def test_restriction_routes_give_the_same_bases(monkeypatch):
+    # each subspace restricted by both routes, forced, at small and large primes
+    real = graded._restricts_by_annihilator
+    shapes = itertools.product((2, 3, 101, 2147483647), (1, 2, 3), ((0,), (0, 1)), (1, 2, 3))
+    taken = set()
+    for p, N, twists, degree in shapes:
+        ctx = RingContext(N, p)
+        sheaf = SplitSheaf(twists)
+        n = section_dim(sheaf, degree, ctx)
+        rng = np.random.default_rng((p % 97, N, degree))
+        for dim in sorted({0, 1, n // 2, n - 2, n - 1, n} & set(range(n + 1))):
+            v = random_subspace(ctx, sheaf, degree, rng, dim=dim)
+            lam = rng.integers(0, p, size=N + 1)
+            lam[N] = rng.integers(1, p)
+            taken.add(real(v))
+            results = []
+            for route in (True, False):
+                monkeypatch.setattr(graded, "_restricts_by_annihilator", lambda v, r=route: r)
+                results.append(graded._restrict_once(v, lam))
+            a, b = results
+            where = (p, N, twists, degree, dim)
+            assert a.additivity_holds and b.additivity_holds, where
+            assert np.array_equal(a.v_h.basis, b.v_h.basis), where
+            assert np.array_equal(a.v_preimage.basis, b.v_preimage.basis), where
+    assert taken == {True, False}
+
+
+def test_restriction_suite_families_take_both_routes():
+    # the seeded draws of `verify restriction` at the default seed
+    from nlgotz import verify
+
+    routes = {}
+    for t in range(2 * len(verify._FAMILIES)):
+        N, twists, d = verify._FAMILIES[t % len(verify._FAMILIES)]
+        rng = verify.trial_rng(verify.DEFAULT_SEED, "restriction", t)
+        v = random_subspace(RingContext(N, P), SplitSheaf(twists), d, rng)
+        routes.setdefault(graded._restricts_by_annihilator(v), []).append((N, twists, d))
+    assert set(routes) == {True, False}
+    assert len(routes[True]) >= 5 and len(routes[False]) >= 5
+
+
+def test_bases_born_reduced_are_not_eliminated(monkeypatch):
+    # identity rows and kernels from `nullspace` are already canonical RREF
+    # bases: they are taken as they are, and equal what the public
+    # constructor gives
+    shapes = []
+    real = modp._rref_inplace
+
+    def spy(a, p):
+        shapes.append(a.shape)
+        return real(a, p)
+
+    ctx = RingContext(3, P)
+    sheaf = SplitSheaf((0, 1))
+    n = section_dim(sheaf, 2, ctx)
+    built = []
+    routes = set()
+    with monkeypatch.context() as m:
+        m.setattr(modp, "_rref_inplace", spy)
+        for c in (0, 1, 7, 20):
+            built.append(lex_segment_subspace(c, 3, ctx))
+        built += [full_space(ctx, sheaf, 2), zero_subspace(ctx, sheaf, 2)]
+        assert shapes == []
+        for dim in (n - 1, n // 2):
+            v = random_subspace(ctx, sheaf, 2, np.random.default_rng(dim), dim=dim)
+            routes.add(graded._restricts_by_annihilator(v))
+            del shapes[:]
+            res = restrict_to_hyperplane(v, seed=3)
+            # one elimination for V^H (with A on the annihilator route) and
+            # one for V_H: no basis is eliminated a second time
+            assert len(shapes) == 2 * res.attempts
+            built += [res.v_preimage, res.v_h]
+    assert routes == {True, False}
+    for v in built:
+        want = GradedSubspace(v.context, v.sheaf, v.degree, v.basis.copy())
+        assert np.array_equal(v.basis, want.basis) and not v.basis.flags.writeable
+
+
 def test_basepoint_free_verdicts():
     ctx = RingContext(2, P)
     sheaf = SplitSheaf((0,))

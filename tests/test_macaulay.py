@@ -22,7 +22,7 @@ from nlgotz.macaulay import (
     upper_macaulay_many,
 )
 
-from oracles import all_decompositions, pascal_binom
+from oracles import all_decompositions, green_triangle, pascal_binom
 
 
 def test_binom_matches_pascal_recurrence():
@@ -183,6 +183,61 @@ def test_green_scan_reports_a_planted_violation(monkeypatch):
 
     monkeypatch.setattr(macaulay, "_lower_table", planted)
     assert green_implication_scan(30, 3) == [(20, 14, 2)]
+
+
+def test_green_scan_equals_the_triangle_oracle():
+    for c_max in (0, 1, 2, 7, 40, 151, 400):
+        for d_max in (2, 3, 6, 11):
+            want = green_triangle(c_max, d_max, macaulay._lower_table)
+            assert green_implication_scan(c_max, d_max) == want == [], (c_max, d_max)
+
+
+def test_green_scan_equals_the_triangle_oracle_on_planted_violations(monkeypatch):
+    # nondecreasing tables pushed below the true c_<d> in places give many
+    # hits, which must come back exactly as the whole triangle finds them
+    real = macaulay._lower_table
+    found = 0
+    for trial in range(12):
+        rng = np.random.default_rng(trial)
+        drop = int(rng.integers(1, 40))
+        c_max, d_max = int(rng.integers(0, 300)), int(rng.integers(2, 8))
+
+        def planted(c_max, d, trial=trial, drop=drop):
+            cut = np.random.default_rng((trial, d)).integers(0, drop + 1, c_max + 1)
+            return np.maximum.accumulate(np.maximum(real(c_max, d) - cut, 0))
+
+        monkeypatch.setattr(macaulay, "_lower_table", planted)
+        want = green_triangle(c_max, d_max, planted)
+        assert green_implication_scan(c_max, d_max) == want, (trial, c_max, d_max)
+        found += len(want)
+    assert found > 1000
+
+
+def test_green_scan_refuses_a_table_that_decreases(monkeypatch):
+    real = macaulay._lower_table
+
+    def planted(c_max, d):
+        table = real(c_max, d).copy()
+        if d == 3:
+            table[25] = table[24] - 1
+        return table
+
+    monkeypatch.setattr(macaulay, "_lower_table", planted)
+    assert green_implication_scan(30, 2) == []
+    with pytest.raises(AssertionError, match="c_<3> decreases"):
+        green_implication_scan(30, 3)
+
+
+def test_green_scan_at_acceptance_size_is_fast():
+    green_implication_scan(2000, 10)  # warm the tables
+    best = min(_timed(green_implication_scan, 2000, 10) for _ in range(3))
+    assert best < 0.02, best
+
+
+def _timed(fn, *args):
+    t0 = time.perf_counter()
+    fn(*args)
+    return time.perf_counter() - t0
 
 
 def _padded(c, d):

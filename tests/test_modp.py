@@ -333,6 +333,21 @@ def test_nullspaces_are_the_rref_of_the_sympy_kernel():
         assert left.tolist() == gfp_rref(gfp_nullspace(mat.T.tolist(), m, p), p), (p, mat)
 
 
+def test_kernels_by_one_elimination():
+    # the kernel is `nullspace`'s, and the left kernel a basis of {y : y mat = 0}
+    cases = list(_random_matrices())
+    for shape in ((0, 4), (3, 0), (70, 5)):
+        cases += [(p, np.zeros(shape, dtype=np.int64)) for p in PRIMES]
+    for p, mat in cases:
+        mat = mat % p
+        kernel, left = modp._kernels(mat, p)
+        assert np.array_equal(kernel, modp.nullspace(mat, p)), (p, mat.shape)
+        assert left.shape == (mat.shape[0] - modp.rank_of(mat, p), mat.shape[0])
+        assert modp.rank_of(left, p) == len(left)
+        if len(left) and mat.shape[1]:
+            assert not modp.matmul_mod(left, mat, p).any()
+
+
 def test_span_membership_by_rank():
     # a vector lies in the span exactly when stacking it on the basis
     # leaves the rank unchanged
