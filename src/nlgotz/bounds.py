@@ -15,7 +15,7 @@ for a hypothetical component below the floor.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Literal, Optional
 
 from .macaulay import growth_slack_sum, upper_macaulay
@@ -378,8 +378,8 @@ def contradiction_trace(
     the contradiction establishing F.  Each number comes from the formula
     that defines it: n, the slack and the slack sum from `_growth_step`, and
     the pencil floor from `ein_lazarsfeld_floor`, one lower for linear
-    P^2-bundles (the quadric route keeps d - 5, the floor of its degenerate
-    adjoint argument).
+    P^2-bundles (the quadric route takes the adjoint variant's floor, d - 5,
+    as its degenerate adjoint argument does).
     """
     res = nl_codim_floor(inv, spec)
     if res.status != "floor":
@@ -392,7 +392,7 @@ def contradiction_trace(
         )
     n_chain, slack, slack_sum, slack_ok = _growth_step(inv, spec, c_hyp)
     if res.branch == "quadric-special":
-        el = spec.d - 5
+        el = ein_lazarsfeld_floor(inv, replace(spec, variant="adjoint"))
     else:
         el = ein_lazarsfeld_floor(inv, spec) - _extra_twist(inv)
 

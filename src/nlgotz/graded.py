@@ -147,28 +147,24 @@ class GradedSubspace:
 
     @classmethod
     def _of_owned_rows(
-        cls, context: RingContext, sheaf: SplitSheaf, degree: int, rows: np.ndarray
+        cls,
+        context: RingContext,
+        sheaf: SplitSheaf,
+        degree: int,
+        rows: np.ndarray,
+        reduced: int = 0,
     ) -> GradedSubspace:
         """The span of rows the library has just built, reduced in place.
 
         `rows` is a C-contiguous int64 array with entries in [0, p), one
         column per basis element of H^0(M(degree)), that nothing else reads
-        (see `modp._row_space_inplace`): the copy and range check of the
-        public constructor are skipped.
+        or writes: the copy and range check of the public constructor are
+        skipped.  Its first `reduced` rows are already an RREF basis, which
+        the elimination takes as given (see `modp._rref_inplace`): rows
+        that are the whole basis (identity rows, kernels from
+        `modp.nullspace`) are not eliminated at all.
         """
-        return cls._of_rref_rows(context, sheaf, degree, modp._row_space_inplace(rows, context.p))
-
-    @classmethod
-    def _of_rref_rows(
-        cls, context: RingContext, sheaf: SplitSheaf, degree: int, basis: np.ndarray
-    ) -> GradedSubspace:
-        """The subspace whose canonical basis is `basis`, taken as it is.
-
-        `basis` is an int64 array the library has just built that is already
-        the RREF basis `GradedSubspace` would compute (identity rows, or a
-        kernel from `modp.nullspace`), and that nothing else writes: it is
-        neither copied nor eliminated again, only made read-only.
-        """
+        basis = rows[: modp._rref_inplace(rows, context.p, reduced)]
         basis.setflags(write=False)
         v = object.__new__(cls)
         v.__dict__.update(context=context, sheaf=sheaf, degree=degree, basis=basis)
@@ -189,12 +185,12 @@ class GradedSubspace:
 
 def full_space(context: RingContext, sheaf: SplitSheaf, degree: int) -> GradedSubspace:
     n = section_dim(sheaf, degree, context)
-    return GradedSubspace._of_rref_rows(context, sheaf, degree, np.eye(n, dtype=np.int64))
+    return GradedSubspace._of_owned_rows(context, sheaf, degree, np.eye(n, dtype=np.int64), n)
 
 
 def zero_subspace(context: RingContext, sheaf: SplitSheaf, degree: int) -> GradedSubspace:
     n = section_dim(sheaf, degree, context)
-    return GradedSubspace._of_rref_rows(context, sheaf, degree, np.zeros((0, n), dtype=np.int64))
+    return GradedSubspace._of_owned_rows(context, sheaf, degree, np.zeros((0, n), dtype=np.int64))
 
 
 def subspace_from_rows(
@@ -216,7 +212,8 @@ def lex_segment_subspace(c: int, degree: int, context: RingContext) -> GradedSub
     n = section_dim(sheaf, degree, context)
     if not 0 <= c <= n:
         raise ValueError(f"codimension {c} out of range for ambient dimension {n}")
-    return GradedSubspace._of_rref_rows(context, sheaf, degree, np.eye(n - c, n, dtype=np.int64))
+    rows = np.eye(n - c, n, dtype=np.int64)
+    return GradedSubspace._of_owned_rows(context, sheaf, degree, rows, n - c)
 
 
 def random_subspace(
@@ -279,8 +276,14 @@ def _shifted_rows(v: GradedSubspace, t: int) -> np.ndarray:
 
 
 def _times_linear_forms(v: GradedSubspace) -> GradedSubspace:
-    """The image of V under multiplication by all linear forms, one degree up."""
-    return GradedSubspace._of_owned_rows(v.context, v.sheaf, v.degree + 1, _shifted_rows(v, 1))
+    """The image of V under multiplication by all linear forms, one degree up.
+
+    The stack starts with x_0 * B for the basis B of V, which is already an
+    RREF basis: x_0 times the monomials keeps their order, so it keeps the
+    pivots increasing and the pivot columns clear.
+    """
+    stack = _shifted_rows(v, 1)
+    return GradedSubspace._of_owned_rows(v.context, v.sheaf, v.degree + 1, stack, v.dim)
 
 
 def multiply(v: GradedSubspace, t: int) -> GradedSubspace:
@@ -495,13 +498,14 @@ def _restrict_once(v: GradedSubspace, lam: np.ndarray) -> RestrictionResult:
         pre, a = modp._kernels(q, p)
         free = _substitution_layout(ctx.N, v.sheaf, v.degree)[1]
         phi = modp._dot(a, modp.rref_kernel(v.basis, p)[:, free], p)
-        v_h = GradedSubspace._of_rref_rows(ctx_h, v.sheaf, v.degree, modp.nullspace(phi, p))
+        kernel = modp.nullspace(phi, p)
+        v_h = GradedSubspace._of_owned_rows(ctx_h, v.sheaf, v.degree, kernel, len(kernel))
         images_vanish = not modp._dot(v.basis, modp._dot(sub, phi.T, p), p).any()
     else:
         pre = modp.nullspace(q, p)
         v_h = GradedSubspace._of_owned_rows(ctx_h, v.sheaf, v.degree, modp._dot(v.basis, sub, p))
         images_vanish = True
-    v_pre = GradedSubspace._of_rref_rows(ctx, v.sheaf, v.degree - 1, pre)
+    v_pre = GradedSubspace._of_owned_rows(ctx, v.sheaf, v.degree - 1, pre, len(pre))
 
     bound = lower_macaulay(c, v.degree)
     additivity = images_vanish and c == v_pre.codim + v_h.codim

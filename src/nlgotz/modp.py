@@ -15,7 +15,9 @@ unreduced steps could take an entry below -2**62 (see `_lazy_window`).
 Bulk reductions go by floor division (`_reduce`), differences of two reduced
 values get only a sign fix (`_sign_fix`), and reduced input is not reduced.
 The public functions copy their input; matrices the library has just built
-itself are reduced in place through `_row_space_inplace`, with no copy.
+itself are reduced in place through `_rref_inplace`, with no copy, and the
+code that built them says how many of their leading rows are already an
+RREF basis: nothing here scans for them.
 """
 
 from __future__ import annotations
@@ -249,59 +251,36 @@ def _eliminate_panels(a: np.ndarray, p: int) -> int:
     return k + rt
 
 
-def _reduced_prefix(a: np.ndarray) -> np.ndarray:
-    """Pivot columns of the longest run of leading rows of `a` that is an RREF basis.
-
-    `a` holds reduced entries.  The rows of such a run are nonzero with
-    leading entry 1, their pivots increase, and each pivot column is zero
-    in the other rows of the run.
-    """
-    n = a.shape[1]
-    # its pivots increase, so a run has at most n rows
-    nonzero = a[:n] != 0
-    lead = nonzero.argmax(axis=1)
-    # a zero row has lead 0 and a[i, 0] == 0, so it fails the first test
-    ok = a[np.arange(lead.size), lead] == 1
-    ok[1:] &= lead[1:] > lead[:-1]
-    k = lead.size if ok.all() else int(np.argmin(ok))
-    if k > 1:
-        # the k x k block on the pivot columns is unit upper triangular, as
-        # each row is zero left of its pivot: a pivot column may hold no
-        # other nonzero, which could only sit in a row above the pivot
-        above = np.count_nonzero(nonzero[:k, lead[:k]], axis=0) > 1
-        if above.any():
-            k = int(np.argmax(above))
-    return lead[:k]
-
-
-def _rref_inplace(a: np.ndarray, p: int) -> int:
+def _rref_inplace(a: np.ndarray, p: int, reduced: int = 0) -> int:
     """Reduce `a` to reduced row echelon form mod p and return its rank.
 
-    `a` is a C-contiguous int64 array with entries in [0, p).  The longest
-    run of leading rows that is already an RREF basis (`_reduced_prefix`)
-    is kept as the basis found so far: a stack that starts with a reduced
-    basis, such as x_0 * B on top of the other shifts of B, is only reduced
-    below it, and a matrix already in RREF is not eliminated at all.  The
-    rows after that run are taken in blocks of `_BLOCK`: each block is
-    reduced against the basis found so far with one product, its residual
-    is eliminated on the columns where it is nonzero (`_eliminate_panels`),
-    and the new pivots are back-substituted into the basis rows that meet
-    them.  The basis is kept in the leading rows of `a`, read through the
-    view a[:r] where a product needs every basis row, and sorted by pivot
-    at the end if the blocks found pivots out of order.  RREF is
-    canonical, so the result is the one column-by-column elimination
-    gives.  Every product here has inner dimension at most min(m, n);
-    small matrices, matrices with no columns (which `_reduced_prefix`
-    cannot scan), and sizes and primes where such a product would not be
-    exact in float64, take `_eliminate` directly.  (At most `_BLOCK` rows,
-    one block product and its back-substitution cost more than the pivots
-    a reduced run saves.)
+    `a` is a C-contiguous int64 array with entries in [0, p) whose first
+    `reduced` rows are already an RREF basis, as the code that built `a`
+    knows: identity rows, a kernel from `nullspace`, or x_0 * B on top of
+    the other shifts of a basis B.  Those rows are taken as the basis found
+    so far and never searched for (the FFLAS-FFPACK echelon form: Dumas,
+    Giorgi and Pernet, ACM TOMS 35(3), 2008); with `reduced == len(a)`, `a`
+    is returned untouched.  The rows after them are taken in blocks of
+    `_BLOCK`: each block is reduced against the basis found so far with one
+    product, its residual is eliminated on the columns where it is nonzero
+    (`_eliminate_panels`), and the new pivots are back-substituted into the
+    basis rows that meet them.  The basis is kept in the leading rows of
+    `a`, read through the view a[:r] where a product needs every basis row,
+    and sorted by pivot at the end if the blocks found pivots out of order.
+    RREF is canonical, so the result is the one column-by-column
+    elimination gives.  Every product here has inner dimension at most
+    min(m, n); small matrices, and sizes and primes where such a product
+    would not be exact in float64, take `_eliminate` directly.  (At most
+    `_BLOCK` rows, one block product and its back-substitution cost more
+    than the pivots the reduced rows save.)
     """
     m, n = a.shape
-    if m <= _BLOCK or n == 0 or min(m, n) * (p - 1) * (p - 1) >= _F64_EXACT:
+    if reduced == m:
+        return m
+    if m <= _BLOCK or min(m, n) * (p - 1) * (p - 1) >= _F64_EXACT:
         return _eliminate(a, p)
-    piv = _reduced_prefix(a)
-    r = piv.size
+    piv = pivot_columns(a[:reduced])
+    r = reduced
     for s in range(r, m, _BLOCK):
         if r == n:
             break
@@ -352,16 +331,6 @@ def row_space(mat: np.ndarray, p: int) -> np.ndarray:
 
 def rank_of(mat: np.ndarray, p: int) -> int:
     return rref(mat, p)[1]
-
-
-def _row_space_inplace(a: np.ndarray, p: int) -> np.ndarray:
-    """`row_space` of an array handed over by its owner: reduced in place, with no copy.
-
-    `a` is a C-contiguous int64 array with entries in [0, p) that its
-    caller has just built and reads no more, so the copy and the range
-    check of `asmod` are skipped.  Returns the view a[:rank].
-    """
-    return a[: _rref_inplace(a, p)]
 
 
 def pivot_columns(basis: np.ndarray) -> np.ndarray:

@@ -80,10 +80,11 @@ class VerifyConfig:
     entry_budget: int = 20_000
 
     def __post_init__(self):
-        # below these sizes a suite checks nothing (or cannot run) yet would pass
+        # below these sizes a suite checks nothing (or cannot run) yet would pass;
+        # below c_max = 3 every premise of the Green scan with c' >= 1 is false
         for name, least in (
             ("trials", 1),
-            ("c_max", 0),
+            ("c_max", 3),
             ("d_max", 2),
             ("n_max", 1),
             ("t_max", 1),

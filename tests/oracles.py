@@ -80,13 +80,16 @@ def all_decompositions(c: int, d: int) -> list[tuple[int, ...]]:
     return search(c, d, c + d)
 
 
-def green_triangle(c_max: int, d_max: int, lower_table) -> list[tuple[int, int, int]]:
+def green_triangle(
+    c_max: int, d_max: int, lower_table, premise_only: bool = False
+) -> list[tuple[int, int, int]]:
     """Every (c, c', d) whose premise holds and conclusion fails, over the whole triangle.
 
     The implication is c' <= c'_<d> + (c - c')_<d-1>  =>  c' <= c_<d> for
     0 <= c' <= c <= c_max and 2 <= d <= d_max; `lower_table(c_max, d)` gives
     c_<d> for c = 0..c_max.  Each c tests every c' <= c, with no use of
-    monotonicity, and the hits come ordered by d, then c, then c'.
+    monotonicity, and the hits come ordered by d, then c, then c'.  With
+    `premise_only`, every (c, c', d) whose premise holds comes back.
     """
     hits = []
     for d in range(2, d_max + 1):
@@ -95,7 +98,7 @@ def green_triangle(c_max: int, d_max: int, lower_table) -> list[tuple[int, int, 
         for c in range(c_max + 1):
             cp = np.arange(c + 1)
             premise = cp <= low_d[: c + 1] + low_prev[c::-1]
-            bad = premise & (cp > low_d[c])
+            bad = premise if premise_only else premise & (cp > low_d[c])
             for j in np.nonzero(bad)[0]:
                 hits.append((c, int(j), d))
     return hits

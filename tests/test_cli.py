@@ -156,6 +156,8 @@ def test_ample_exit_codes(capsys):
 def test_verify_green_scan(capsys):
     assert main(["verify", "green-scan", "--cmax", "200", "--dmax", "5"]) == 0
     assert "suite green-scan: 1/1 checks passed" in capsys.readouterr().out
+    assert main(["verify", "green-scan", "--cmax", "3"]) == 0
+    assert "suite green-scan: 1/1 checks passed" in capsys.readouterr().out
 
 
 def test_verify_csv_is_deterministic(capsys):
@@ -207,6 +209,10 @@ def test_verify_reports_violations(monkeypatch, capsys):
         ["consistency", "--trace-dmax", "3"],  # every floor there is vacuous
         ["green-scan", "--dmax", "1"],
         ["macaulay", "--trials", "-3"],
+        # below c_max = 3 no c' >= 1 meets the Green scan's premise
+        ["green-scan", "--cmax", "0"],
+        ["green-scan", "--cmax", "1"],
+        ["green-scan", "--cmax", "2"],
     ],
 )
 def test_verify_rejects_sizes_that_check_nothing(args, capsys):

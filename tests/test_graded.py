@@ -5,7 +5,10 @@ and sympy ranks from tests/oracles.py, which share no code with the
 package's scatter-matrix machinery.
 """
 
+import importlib.util
 import itertools
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -153,6 +156,20 @@ def test_library_built_subspaces_equal_the_public_constructor():
             same(lex, np.eye(n, dtype=np.int64)[: n - codim])
             same(multiply(lex, 1), graded._shifted_rows(lex, 1))
         same(full_space(ctx, sheaf, degree), np.eye(n, dtype=np.int64))
+
+
+def test_subspaces_benchmark_pass_matches_its_recorded_digest(monkeypatch):
+    # the `subspaces` workload checks growth and restriction on ambient dims
+    # 105..453 and pins their outputs by a digest per seed, which a miss
+    # turns into a failure of every item
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, workloads)
+    spec.loader.exec_module(workloads)
+    res = workloads.run_subspaces(0)
+    assert res.info["digest_recorded"] and res.items > 0
+    assert res.failed == 0, res.errors
 
 
 def test_full_zero_and_lex_edges():
@@ -542,41 +559,94 @@ def test_restriction_suite_families_take_both_routes():
     assert len(routes[True]) >= 5 and len(routes[False]) >= 5
 
 
+def _spy_kernel(monkeypatch, calls):
+    """Log each `modp._eliminate` and `modp._dot` call as ("elim", a) or ("dot", a, b) copies."""
+    real_eliminate, real_dot = modp._eliminate, modp._dot
+
+    def eliminate(a, p):
+        calls.append(("elim", a.copy()))
+        return real_eliminate(a, p)
+
+    def dot(a, b, p):
+        calls.append(("dot", np.array(a), np.array(b)))
+        return real_dot(a, b, p)
+
+    monkeypatch.setattr(modp, "_eliminate", eliminate)
+    monkeypatch.setattr(modp, "_dot", dot)
+
+
 def test_bases_born_reduced_are_not_eliminated(monkeypatch):
     # identity rows and kernels from `nullspace` are already canonical RREF
     # bases: they are taken as they are, and equal what the public
     # constructor gives
-    shapes = []
-    real = modp._rref_inplace
-
-    def spy(a, p):
-        shapes.append(a.shape)
-        return real(a, p)
-
+    calls = []
     ctx = RingContext(3, P)
     sheaf = SplitSheaf((0, 1))
     n = section_dim(sheaf, 2, ctx)
     built = []
     routes = set()
     with monkeypatch.context() as m:
-        m.setattr(modp, "_rref_inplace", spy)
+        _spy_kernel(m, calls)
         for c in (0, 1, 7, 20):
             built.append(lex_segment_subspace(c, 3, ctx))
         built += [full_space(ctx, sheaf, 2), zero_subspace(ctx, sheaf, 2)]
-        assert shapes == []
+        assert calls == []
         for dim in (n - 1, n // 2):
             v = random_subspace(ctx, sheaf, 2, np.random.default_rng(dim), dim=dim)
             routes.add(graded._restricts_by_annihilator(v))
-            del shapes[:]
+            del calls[:]
             res = restrict_to_hyperplane(v, seed=3)
-            # one elimination for V^H (with A on the annihilator route) and
-            # one for V_H: no basis is eliminated a second time
-            assert len(shapes) == 2 * res.attempts
+            # every matrix here has at most 64 rows, so each reduction of a
+            # matrix with rows is one `_eliminate`: one for V^H (with A on the
+            # annihilator route), one for V_H unless its matrix is empty, and
+            # no basis is eliminated a second time
+            elims = [call[1] for call in calls if call[0] == "elim"]
+            assert res.attempts <= len(elims) <= 2 * res.attempts
+            kernels = [res.v_preimage.basis]
+            if graded._restricts_by_annihilator(v):
+                kernels.append(res.v_h.basis)
+            assert not any(np.array_equal(e, k) for e in elims for k in kernels)
             built += [res.v_preimage, res.v_h]
     assert routes == {True, False}
     for v in built:
         want = GradedSubspace(v.context, v.sheaf, v.degree, v.basis.copy())
         assert np.array_equal(v.basis, want.basis) and not v.basis.flags.writeable
+
+
+def test_multiplication_stacks_are_reduced_below_x0_times_the_basis(monkeypatch):
+    # dim V = 70: x_0 * B alone is past one 64-row block, so a kernel that
+    # started from the top would eliminate a block of it first
+    ctx = RingContext(2, P)
+    sheaf = SplitSheaf((0,))
+    v = random_subspace(ctx, sheaf, 12, np.random.default_rng(12), dim=70)
+    stack = graded._shifted_rows(v, 1)
+    top = {tuple(row) for row in stack[: v.dim]}
+    calls = []
+    with monkeypatch.context() as m:
+        _spy_kernel(m, calls)
+        w = multiply(v, 1)
+    # the first step reduces the block below x_0 * B against it
+    kind, below, basis_rows = calls[0]
+    assert kind == "dot" and len(below) <= 64
+    assert {tuple(row) for row in basis_rows} <= top
+    assert np.array_equal(w.basis, GradedSubspace(ctx, sheaf, 13, stack).basis)
+
+
+@pytest.mark.parametrize("p", (2, 101))
+def test_x0_times_a_basis_is_its_own_rref(p):
+    # `_times_linear_forms` states x_0 * B, the first block of the stack, as
+    # reduced, which must hold on every split sheaf, negative twists included
+    rng = np.random.default_rng(p)
+    for twists in ((0,), (0, 1), (1, 0, 2), (-1, 0, 2)):
+        sheaf = SplitSheaf(twists)
+        for N in range(4):
+            ctx = RingContext(N, p)
+            for d in range(4):
+                n = section_dim(sheaf, d, ctx)
+                for dim in {n, n // 2, int(rng.integers(0, n + 1))}:
+                    v = random_subspace(ctx, sheaf, d, rng, dim=dim)
+                    head = graded._shifted_rows(v, 1)[: v.dim]
+                    assert np.array_equal(head, modp.row_space(head, p)), (twists, N, d, dim)
 
 
 def test_basepoint_free_verdicts():

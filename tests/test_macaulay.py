@@ -192,6 +192,16 @@ def test_green_scan_equals_the_triangle_oracle():
             assert green_implication_scan(c_max, d_max) == want == [], (c_max, d_max)
 
 
+def test_green_scan_premise_first_holds_for_positive_c_prime_at_c_max_3():
+    # c' = 0 always meets the conclusion, so a scan whose premises all have
+    # c' = 0 checks nothing: `VerifyConfig` starts c_max at 3 for this reason
+    for d_max in range(2, 11):
+        for c_max in (0, 1, 2, 3):
+            premises = green_triangle(c_max, d_max, macaulay._lower_table, premise_only=True)
+            positive = [hit for hit in premises if hit[1] >= 1]
+            assert bool(positive) == (c_max == 3), (c_max, d_max)
+
+
 def test_green_scan_equals_the_triangle_oracle_on_planted_violations(monkeypatch):
     # nondecreasing tables pushed below the true c_<d> in places give many
     # hits, which must come back exactly as the whole triangle finds them

@@ -216,39 +216,33 @@ def _random_rref(rng, k, n, p):
     basis = rng.integers(0, p, size=(k, n)) * (np.arange(n) > piv[:, None])
     basis[:, piv] = 0
     basis[np.arange(k), piv] = 1
-    return basis.astype(np.int64), piv
+    return basis.astype(np.int64)
 
 
-def test_reduced_prefix_is_reused_and_cannot_be_fooled():
+def test_rref_inplace_takes_the_stated_reduced_rows():
+    # the rows a caller states as reduced are the basis found so far: the
+    # result is still the canonical RREF, whatever lies below them
     rng = np.random.default_rng(99)
     for p in (2, 101):
-        basis, piv = _random_rref(rng, 30, 40, p)
+        basis = _random_rref(rng, 30, 40, p)
         rest = rng.integers(0, p, size=(40, 40))
-        cases = {"rref then random": (np.vstack([basis, rest]), 30)}
-        # near-RREF runs that must stop at row 5
-        mixed = basis.copy()
-        mixed[0, piv[5]] = 1
-        cases["entry in a later pivot column"] = (mixed, 5)
-        cases["zero row"] = (np.vstack([basis[:5], np.zeros((1, 40), np.int64), basis[5:]]), 5)
-        if p > 2:
-            scaled = basis.copy()
-            scaled[5] = scaled[5] * 2 % p
-            cases["leading entry not 1"] = (scaled, 5)
-        cases["copy of an earlier row"] = (np.vstack([basis[:5], basis[4:]]), 5)
-        for name, (head, run) in cases.items():
-            mat = np.vstack([head, rest])[:70]
-            assert modp._reduced_prefix(mat).size == run, (p, name)
-            assert modp.row_space(mat, p).tolist() == gfp_rref(mat.tolist(), p), (p, name)
-    # a whole matrix in RREF, past one block, is its own row space
-    basis, _ = _random_rref(rng, 70, 100, 101)
-    assert modp._reduced_prefix(basis).size == 70
-    assert np.array_equal(modp.row_space(basis, 101), basis)
-    assert basis.tolist() == gfp_rref(basis.tolist(), 101)
+        mat = np.vstack([basis, rest])
+        for k in (0, 5, 30):
+            a = mat.copy()
+            r = modp._rref_inplace(a, p, reduced=k)
+            assert a[:r].tolist() == gfp_rref(mat.tolist(), p), (p, k)
+            assert not a[r:].any()
     # a run that ends at row 90, inside the second 64-row block
-    basis, _ = _random_rref(rng, 90, 120, 2)
+    basis = _random_rref(rng, 90, 120, 2)
     mat = np.vstack([basis, rng.integers(0, 2, size=(50, 120))])
-    assert modp._reduced_prefix(mat).size == 90
-    assert modp.row_space(mat, 2).tolist() == gfp_rref(mat.tolist(), 2)
+    a = mat.copy()
+    r = modp._rref_inplace(a, 2, reduced=90)
+    assert a[:r].tolist() == gfp_rref(mat.tolist(), 2)
+    # all rows reduced: returned at once, `a` untouched (it cannot be written)
+    basis = _random_rref(rng, 70, 100, 101)
+    basis.setflags(write=False)
+    assert modp._rref_inplace(basis, 101, reduced=70) == 70
+    assert basis.tolist() == gfp_rref(basis.tolist(), 101)
 
 
 def _caller_arrays(p):

@@ -184,6 +184,7 @@ def test_suite_report_accounting():
         {"n_max": 0},
         {"t_max": 0},
         {"entry_budget": 0},
+        {"c_max": 2},
     ],
 )
 def test_config_rejects_sizes_that_check_nothing(sizes):
