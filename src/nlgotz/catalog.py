@@ -1,9 +1,10 @@
 """Threefold invariant catalogs.
 
 A catalog is a plain UTF-8 text file of key = value records, one record per
-blank-line-separated paragraph, integers in decimal, booleans spelled true or
-false, full-line comments starting with '#'.  Unknown keys are errors: silent
-drift between a file and the evaluator is worse than a loud parse failure.
+blank-line-separated paragraph, integers in decimal (ASCII digits after an
+optional '-'), booleans spelled true or false, full-line comments starting
+with '#'.  Unknown keys are errors: silent drift between a file and the
+evaluator is worse than a loud parse failure.
 Records whose subcanonical degree is present are cross-checked against the
 derived invariants on load.
 """
@@ -22,7 +23,6 @@ __all__ = [
     "loads_catalog",
     "load_catalog",
     "dumps_catalog",
-    "save_catalog",
     "find_record",
 ]
 
@@ -54,6 +54,14 @@ def _parse_bool(raw: str, line_no: int) -> bool:
     raise CatalogError(f"line {line_no}: booleans must be 'true' or 'false', got {raw!r}")
 
 
+def _parse_int(raw: str, key: str, line_no: int) -> int:
+    # int() alone would also take a sign '+', underscores and non-ASCII digits
+    digits = raw[1:] if raw.startswith("-") else raw
+    if not (digits.isascii() and digits.isdigit()):
+        raise CatalogError(f"line {line_no}: '{key}' must be a decimal integer")
+    return int(raw)
+
+
 def _build_record(fields: dict[str, tuple[str, int]], first_line: int) -> CatalogRecord:
     for key in _REQUIRED:
         if key not in fields:
@@ -63,10 +71,7 @@ def _build_record(fields: dict[str, tuple[str, int]], first_line: int) -> Catalo
         if key == "name" or key == "provenance":
             kwargs[key] = raw
         elif key in _INT_KEYS:
-            try:
-                kwargs[key] = int(raw, 10)
-            except ValueError:
-                raise CatalogError(f"line {line_no}: '{key}' must be a decimal integer") from None
+            kwargs[key] = _parse_int(raw, key, line_no)
         else:
             kwargs[key] = _parse_bool(raw, line_no)
     provenance = kwargs.pop("provenance", "")
@@ -161,10 +166,6 @@ def dumps_catalog(records: tuple[CatalogRecord, ...] | list[CatalogRecord]) -> s
             lines.append(f"provenance = {rec.provenance}")
         chunks.append("\n".join(lines))
     return "\n\n".join(chunks) + "\n"
-
-
-def save_catalog(records, path: str | Path) -> None:
-    Path(path).write_text(dumps_catalog(records), encoding="utf-8")
 
 
 def find_record(records, name: str) -> CatalogRecord:

@@ -15,22 +15,29 @@ import sys
 from .bounds import BundleSpec, ThreefoldInvariants, contradiction_trace, nl_codim_floor
 from .bounds import blowup_ampleness
 from .catalog import default_catalog, dumps_catalog, find_record, load_catalog
-from .graded import DEFAULT_PRIME
 from .macaulay import lower_macaulay, macaulay_rep, upper_macaulay
-from .verify import (
-    DEFAULT_SEED,
-    DEFAULT_TRACE_DMAX,
-    SUITES,
-    VerifyConfig,
-    consistency_sweep,
-    run_suite,
-)
+from .settings import DEFAULT_PRIME, DEFAULT_SEED, DEFAULT_TRACE_DMAX, SUITES, VerifyConfig
 
 _ENV_SEED = "NLGOTZ_SEED"
 _ENV_PRIME = "NLGOTZ_PRIME"
 # inline invariants of `bound`: integer values, then shape switches
 _INVARIANT_FLAGS = ("--alpha", "--beta", "--a-adj", "--b-adj")
 _SHAPE_FLAGS = ("--p2-bundle", "--quadric", "--p3")
+
+
+def __getattr__(name: str):
+    """`run_suite` and `consistency_sweep` of `verify`, bound here on first read.
+
+    `verify` is the one command that loads numpy, so it is imported only
+    then.  `cmd_verify` calls both as attributes of this module, so a caller
+    that replaces them here is obeyed (perfbench times each suite that way).
+    """
+    if name not in ("run_suite", "consistency_sweep"):
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from . import verify
+
+    value = globals()[name] = getattr(verify, name)
+    return value
 
 
 def _dest(flag: str) -> str:
@@ -238,12 +245,13 @@ def cmd_verify(args, out) -> int:
         names = SUITES + ("consistency",)
     else:
         names = (args.suite,)
+    this = sys.modules[__name__]
     reports = []
     for name in names:
         if name == "consistency":
-            reports.append(consistency_sweep(d_max=args.trace_dmax))
+            reports.append(this.consistency_sweep(d_max=args.trace_dmax))
         else:
-            reports.append(run_suite(name, cfg))
+            reports.append(this.run_suite(name, cfg))
     _write_rows(reports, args.format, out)
     if args.out:
         with open(args.out, "w", encoding="utf-8", newline="") as fh:

@@ -21,6 +21,7 @@ import numpy as np
 from . import modp
 from .macaulay import lower_macaulay, upper_macaulay
 from .monomials import dim_degree, exponent_table, product_table
+from .settings import DEFAULT_PRIME
 
 __all__ = [
     "RingContext",
@@ -33,7 +34,6 @@ __all__ = [
     "section_dim",
     "is_cm_regular",
     "full_space",
-    "zero_subspace",
     "subspace_from_rows",
     "lex_segment_subspace",
     "random_subspace",
@@ -47,7 +47,6 @@ __all__ = [
     "koszul_middle_exact",
 ]
 
-DEFAULT_PRIME = 101
 RETRY_CAP = 16
 # points evaluated at once by the rational-point scan
 _CHUNK = 65536
@@ -186,11 +185,6 @@ class GradedSubspace:
 def full_space(context: RingContext, sheaf: SplitSheaf, degree: int) -> GradedSubspace:
     n = section_dim(sheaf, degree, context)
     return GradedSubspace._of_owned_rows(context, sheaf, degree, np.eye(n, dtype=np.int64), n)
-
-
-def zero_subspace(context: RingContext, sheaf: SplitSheaf, degree: int) -> GradedSubspace:
-    n = section_dim(sheaf, degree, context)
-    return GradedSubspace._of_owned_rows(context, sheaf, degree, np.zeros((0, n), dtype=np.int64))
 
 
 def subspace_from_rows(

@@ -9,6 +9,11 @@ expansion up or down produces the two classical bounds used everywhere else in
 this package: `upper_macaulay` caps the codimension jump of a polynomial
 subspace under multiplication by linear forms, and `lower_macaulay` caps the
 codimension of its restriction to a generic hyperplane.
+
+The scalar functions are plain integer arithmetic.  The whole-range
+functions (`*_many`, `green_implication_scan`) work on numpy arrays and
+import numpy when first called, so the floor evaluator and the command line,
+which use only the scalar ones, start without it.
 """
 
 from __future__ import annotations
@@ -17,8 +22,10 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import TYPE_CHECKING
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "binom",
@@ -69,6 +76,9 @@ class MacaulayRep:
 
     def value(self) -> int:
         d = self.degree
+        if len(self.ks) > d:
+            # a term past C(k, 1) would be C(k, 0) = 1, which no expansion has
+            raise ValueError(f"{len(self.ks)} terms are more than the degree {d}")
         return sum(map(math.comb, self.ks, range(d, d - len(self.ks), -1)))
 
 
@@ -82,7 +92,7 @@ _TABLE_CAP = 4096
 # its k at most c + d, so every product they form is below 2^31 (2^31 + d) < 2^63;
 # rows at or above it go through the exact scalar path
 _VECTOR_LIMIT = 2**31
-_INT64_MAX = np.iinfo(np.int64).max
+_INT64_MAX = 2**63 - 1
 
 
 def _table_upto(d: int, limit: int) -> list[int]:
@@ -184,6 +194,8 @@ def lower_macaulay(c: int, d: int) -> int:
 
 def _counts(cs, d: int) -> np.ndarray:
     """cs as a 1-D int64 array, refusing what the scalar functions refuse."""
+    import numpy as np
+
     if d < 1:
         raise ValueError("expansion degree must be at least 1")
     try:
@@ -208,6 +220,8 @@ def _expand_many(cs: np.ndarray, d: int) -> tuple[np.ndarray, np.ndarray]:
     The greedy step of `_expand` for all rows at once: one searchsorted per
     degree on the table, a float64 square root in degree 2.
     """
+    import numpy as np
+
     ks = np.zeros((cs.size, d), dtype=np.int64)
     terms = np.zeros_like(ks)
     rem = cs.copy()
@@ -244,6 +258,8 @@ def macaulay_rep_many(cs, d: int) -> np.ndarray:
     a 1-D sequence of nonnegative integers that fit in int64; a negative c,
     d < 1 or a c past int64 raises ValueError.
     """
+    import numpy as np
+
     cs = _counts(cs, d)
     near = cs < _VECTOR_LIMIT
     ks = np.zeros((cs.size, d), dtype=np.int64)
@@ -258,6 +274,8 @@ def _bound_many(cs, d: int, scalar, shifted) -> np.ndarray:
     """Sum `shifted(ks, terms, degrees)` over the terms of each c below
     _VECTOR_LIMIT, and take `scalar(c, d)` for the rest, refusing a value
     past int64 rather than letting it wrap."""
+    import numpy as np
+
     cs = _counts(cs, d)
     near = cs < _VECTOR_LIMIT
     out = np.zeros(cs.size, dtype=np.int64)
@@ -282,6 +300,8 @@ def upper_macaulay_many(cs, d: int) -> np.ndarray:
 
 def lower_macaulay_many(cs, d: int) -> np.ndarray:
     """`lower_macaulay(c, d)` for every c in cs, as int64 (see `macaulay_rep_many`)."""
+    import numpy as np
+
     # C(k - 1, i) = C(k, i) (k - i) / k
     return _bound_many(
         cs, d, lower_macaulay, lambda ks, terms, i: terms * (ks - i) // np.maximum(ks, 1)
@@ -330,6 +350,8 @@ def growth_slack_check(c: int, n: int, e: int) -> GrowthSlackCheck:
 
 @lru_cache(maxsize=32)
 def _lower_table(c_max: int, d: int) -> np.ndarray:
+    import numpy as np
+
     out = lower_macaulay_many(np.arange(c_max + 1), d)
     out.setflags(write=False)
     return out
@@ -353,6 +375,8 @@ def green_implication_scan(c_max: int, d_max: int) -> list[tuple[int, int, int]]
     two searchsorted calls per degree find every hit, with no (c, c')
     triangle.
     """
+    import numpy as np
+
     if c_max < 0 or d_max < 2:
         return []
     hits: list[tuple[int, int, int]] = []

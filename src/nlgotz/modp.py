@@ -22,46 +22,10 @@ RREF basis: nothing here scans for them.
 
 from __future__ import annotations
 
-from functools import lru_cache
-
 import numpy as np
 
-MAX_PRIME = 2**31
-
-
-@lru_cache(maxsize=256)
-def is_prime(m: int) -> bool:
-    """Deterministic Miller-Rabin, exact for every m < 3,317,044,064,679,887,385,961,981.
-
-    Memoized: every `RingContext` checks its prime, and a run uses few.
-    """
-    if m < 2:
-        return False
-    for q in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
-        if m % q == 0:
-            return m == q
-    d = m - 1
-    s = 0
-    while d % 2 == 0:
-        d //= 2
-        s += 1
-    for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
-        x = pow(a, d, m)
-        if x in (1, m - 1):
-            continue
-        for _ in range(s - 1):
-            x = x * x % m
-            if x == m - 1:
-                break
-        else:
-            return False
-    return True
-
-
-def check_prime(p: int) -> int:
-    if not (2 <= p < MAX_PRIME) or not is_prime(p):
-        raise ValueError(f"p = {p} is not a prime in [2, 2**31)")
-    return p
+# the prime test lives with the settings it validates, which load no numpy
+from .settings import MAX_PRIME, check_prime, is_prime  # noqa: F401
 
 
 def _int_mod(x, p: int) -> int:

@@ -23,7 +23,6 @@ __all__ = [
     "exponent_table",
     "shift_table",
     "product_table",
-    "unit_exponent",
 ]
 
 
@@ -105,9 +104,3 @@ def product_table(num_vars: int, degree: int, t: int) -> np.ndarray:
     exps = exponent_table(num_vars, t)[:, None] + exponent_table(num_vars, degree)
     return _frozen(_lex_rank(exps))
 
-
-def unit_exponent(num_vars: int, i: int) -> tuple[int, ...]:
-    """The exponent tuple of the single variable x_i."""
-    e = [0] * num_vars
-    e[i] = 1
-    return tuple(e)

@@ -3,7 +3,9 @@
 Each suite stresses one exact statement over a family of randomized or
 exhaustive instances and reports one row per trial.  All randomness flows
 through counter-based generators keyed by (seed, suite, trial), so reports are
-bit-identical across runs and platforms for a fixed configuration.
+bit-identical across runs and platforms for a fixed configuration.  The run
+settings (`VerifyConfig`, `SUITES` and the defaults) live in `settings`,
+which the command line reads without loading numpy; they are re-exported here.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import graded, modp
+from . import graded
 from .bounds import (
     BundleSpec,
     ThreefoldInvariants,
@@ -39,6 +41,7 @@ from .graded import (
 )
 from .macaulay import green_implication_scan, growth_slack_sum, upper_macaulay_many
 from .monomials import monomial_index
+from .settings import DEFAULT_SEED, DEFAULT_TRACE_DMAX, SUITES, VerifyConfig
 
 __all__ = [
     "DEFAULT_SEED",
@@ -52,11 +55,6 @@ __all__ = [
     "consistency_sweep",
 ]
 
-DEFAULT_SEED = 0xC0FFEE
-DEFAULT_TRACE_DMAX = 60
-
-SUITES = ("macaulay", "restriction", "koszul", "green-scan", "growth", "thresholds")
-
 _SUITE_TAGS = {name: tag for tag, name in enumerate(SUITES, start=1)}
 
 # the sampled families: both small projective spaces, split ranks 1 to 3
@@ -66,36 +64,6 @@ _FAMILIES = [
     for twists in ((0,), (0, 1), (0, 1, 2))
     for d in (1, 2, 3, 4)
 ]
-
-
-@dataclass(frozen=True)
-class VerifyConfig:
-    seed: int = DEFAULT_SEED
-    prime: int = graded.DEFAULT_PRIME
-    trials: int = 500
-    c_max: int = 2000
-    d_max: int = 10
-    n_max: int = 30
-    t_max: int = 6
-    entry_budget: int = 20_000
-
-    def __post_init__(self):
-        # below these sizes a suite checks nothing (or cannot run) yet would pass;
-        # below c_max = 3 every premise of the Green scan with c' >= 1 is false
-        for name, least in (
-            ("trials", 1),
-            ("c_max", 3),
-            ("d_max", 2),
-            ("n_max", 1),
-            ("t_max", 1),
-            ("entry_budget", 1),
-        ):
-            value = getattr(self, name)
-            if value < least:
-                raise ValueError(f"{name} must be at least {least}, got {value}")
-        if self.seed < 0:
-            raise ValueError(f"seed must be nonnegative, got {self.seed}")
-        modp.check_prime(self.prime)
 
 
 @dataclass(frozen=True)

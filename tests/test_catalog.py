@@ -12,7 +12,6 @@ from nlgotz.catalog import (
     find_record,
     load_catalog,
     loads_catalog,
-    save_catalog,
 )
 from nlgotz.bounds import ThreefoldInvariants, derive_subcanonical_invariants
 
@@ -54,7 +53,7 @@ def test_round_trip_and_determinism():
 
 def test_save_and_load(tmp_path):
     path = tmp_path / "cat.txt"
-    save_catalog(default_catalog(), path)
+    path.write_text(dumps_catalog(default_catalog()), encoding="utf-8")
     assert load_catalog(path) == default_catalog()
 
 
@@ -95,6 +94,12 @@ def test_parse_errors_carry_line_numbers():
         loads_catalog(_record_text(pic_is_z="yes"))
     with pytest.raises(CatalogError, match="line 2: 'alpha' must be a decimal integer"):
         loads_catalog(_record_text(alpha="two"))
+    # int() takes each of these; a catalog integer is ASCII digits after an optional '-'
+    bad = (("alpha", "+1"), ("beta", "1_0"), ("a_adj", "\u0661"), ("b_adj", "-"), ("alpha", ""))
+    for key, raw in bad:
+        line = ("alpha", "beta", "a_adj", "b_adj").index(key) + 2
+        with pytest.raises(CatalogError, match=f"line {line}: '{key}' must be a decimal integer"):
+            loads_catalog(_record_text(**{key: raw}))
     with pytest.raises(CatalogError, match="expected 'key = value'"):
         loads_catalog("name = x\njust words\n")
     with pytest.raises(CatalogError, match="line 2: duplicate key 'name'"):

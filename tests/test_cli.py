@@ -291,6 +291,68 @@ def test_module_entry_point():
     assert proc.stdout.startswith("usage: nlgotz")
 
 
+# every public name of `nlgotz` before its F_p layers were imported on first use,
+# less the retired `zero_subspace` and `save_catalog`
+PUBLIC_NAMES = """
+AdditivityError AmplenessResult BoundResult BudgetExceededError BundleSpec CatalogError
+CatalogRecord CertificationError ContradictionTrace DEFAULT_SEED GenericityError GotzmannCheck
+GradedSubspace GrowthSlackCheck HypothesisCheck KERNEL_BACKEND KoszulResult MacaulayRep
+RestrictionResult RingContext SUITES SplitSheaf SuiteReport ThreefoldInvariants TrialRow
+VerifyConfig binom blowup_ampleness bounds catalog check_macaulay_gotzmann consistency_sweep
+contradiction_trace default_catalog derive_subcanonical_invariants dumps_catalog
+ein_lazarsfeld_floor find_record full_space graded green_implication_scan growth_slack_check
+is_basepoint_free is_cm_regular koszul_middle_exact lex_segment_subspace load_catalog
+loads_catalog lower_macaulay lower_macaulay_many macaulay macaulay_rep macaulay_rep_many modp
+monomials multiply n_of nl_codim_floor random_subspace restrict_to_hyperplane run_all run_suite
+section_dim subspace_from_rows threshold_value upper_macaulay upper_macaulay_many
+vanishing_hypothesis_met verify
+""".split()
+
+STARTUP_SCRIPT = """
+import contextlib, io, json, sys
+import nlgotz
+from nlgotz import cli
+seen = {}
+nlgotz.default_catalog()
+seen["import"] = [0, "numpy" in sys.modules]
+for argv in (
+    ["bound", "quartic", "--variant", "adjoint", "-d", "20"],
+    ["ample", "quintic", "-d", "3", "-k", "10"],
+    ["decompose", "1000", "5"],
+    ["catalog"],
+    ["verify", "growth", "--trials", "20"],
+):
+    with contextlib.redirect_stdout(io.StringIO()):
+        seen[argv[0]] = [cli.main(argv), "numpy" in sys.modules]
+names = sys.argv[1:]
+seen["unresolved"] = [n for n in names if not hasattr(nlgotz, n)]
+seen["undirected"] = sorted(set(names) - set(dir(nlgotz)))
+print(json.dumps(seen))
+"""
+
+
+def test_only_verify_loads_numpy():
+    env = dict(os.environ, PYTHONPATH=str(Path(nlgotz.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-c", STARTUP_SCRIPT, *PUBLIC_NAMES],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    seen = json.loads(proc.stdout)
+    # (exit code, numpy loaded) after each step, in order
+    assert seen.pop("import") == [0, False]
+    assert seen.pop("bound") == [0, False]
+    assert seen.pop("ample") == [3, False]
+    assert seen.pop("decompose") == [0, False]
+    assert seen.pop("catalog") == [0, False]
+    assert seen.pop("verify") == [0, True]
+    assert seen == {"unresolved": [], "undirected": []}
+    assert sorted(set(nlgotz.__all__) - set(PUBLIC_NAMES)) == []
+
+
 def test_verify_rejects_unknown_suite(capsys):
     assert main(["verify", "nonsense"]) == 2
     capsys.readouterr()

@@ -65,6 +65,18 @@ def test_expansion_domain_errors():
         macaulay_rep(-1, 2)
 
 
+def test_value_refuses_more_terms_than_the_degree():
+    # a term past C(k_1, 1) would be C(k, 0) = 1, and value() once added it
+    for degree, ks in ((1, (5, 3)), (2, (5, 3, 1)), (3, (6, 4, 2, 0))):
+        rep = MacaulayRep(degree, ks)
+        assert rep.lowest_index == 0
+        with pytest.raises(ValueError, match="more than the degree"):
+            rep.value()
+    with pytest.raises(ValueError):
+        MacaulayRep(2, (5, -1)).value()
+    assert MacaulayRep(2, (5, 3)).value() == 13
+
+
 def test_expansion_is_the_unique_valid_one():
     # brute force finds exactly one valid expansion, and it is ours
     for d in range(1, 7):
