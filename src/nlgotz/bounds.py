@@ -218,9 +218,11 @@ _QUADRIC_NOTE = (
 _ADJOINT_ASSUMPTION = "A nef: assumed by the caller, not checked here"
 
 
-def _branch_label(variant: str, bundle: bool, b: int, quadric_route: bool) -> str:
-    if quadric_route:
-        return "quadric-special"
+# the quadric's (-d)-regular branch, which `contradiction_trace` recognizes
+_QUADRIC_BRANCH = "quadric-special"
+
+
+def _branch_label(variant: str, bundle: bool, b: int) -> str:
     head = "minus-d-regular" if variant == "minus_d_regular" else "adjoint"
     mid = "p2-bundle" if bundle else "general"
     tail = "b>=2" if b >= 2 else "b=1"
@@ -269,13 +271,16 @@ def nl_codim_floor(inv: ThreefoldInvariants, spec: BundleSpec) -> BoundResult:
             HypothesisCheck("branch_selector", True, "variant=minus_d_regular, quadric"),
             HypothesisCheck("quadric_degree", ok, f"d = {d} >= 7"),
         )
-        label = _branch_label(spec.variant, False, b, quadric_route=True)
-        if ok:
-            return BoundResult(
-                "floor", d - 5, label, checks, n_value, assumptions, (_QUADRIC_NOTE,)
-            )
+        # validate pins the quadric's adjoint pair, so this is d - 5
+        floor = _floor_formula("adjoint", False, d, inv.a_adj, inv.b_adj) if ok else None
         return BoundResult(
-            "no_bound", None, label, checks, n_value, assumptions, (_QUADRIC_NOTE,)
+            "floor" if ok else "no_bound",
+            floor,
+            _QUADRIC_BRANCH,
+            checks,
+            n_value,
+            assumptions,
+            (_QUADRIC_NOTE,),
         )
 
     bundle = inv.is_linear_p2_bundle
@@ -297,17 +302,15 @@ def nl_codim_floor(inv: ThreefoldInvariants, spec: BundleSpec) -> BoundResult:
         kind = "T1" if minus else ("T2_p2bundle" if bundle else "T2_general")
         thr = threshold_value(kind, b)
         checks.append(HypothesisCheck("degree_threshold", d >= thr, f"d = {d} >= {thr}"))
-    label = _branch_label(spec.variant, bundle, b, quadric_route=False)
-    if all(ch.passed for ch in checks):
-        return BoundResult(
-            "floor",
-            _floor_formula(spec.variant, bundle, d, a, b),
-            label,
-            tuple(checks),
-            n_value,
-            assumptions,
-        )
-    return BoundResult("no_bound", None, label, tuple(checks), n_value, assumptions)
+    ok = all(ch.passed for ch in checks)
+    return BoundResult(
+        "floor" if ok else "no_bound",
+        _floor_formula(spec.variant, bundle, d, a, b) if ok else None,
+        _branch_label(spec.variant, bundle, b),
+        tuple(checks),
+        n_value,
+        assumptions,
+    )
 
 
 def ein_lazarsfeld_floor(inv: ThreefoldInvariants, spec: BundleSpec) -> int:
@@ -391,7 +394,7 @@ def contradiction_trace(
             f"c_hyp = {c_hyp} is not below the floor {res.floor_value}; nothing to refute"
         )
     n_chain, slack, slack_sum, slack_ok = _growth_step(inv, spec, c_hyp)
-    if res.branch == "quadric-special":
+    if res.branch == _QUADRIC_BRANCH:
         el = ein_lazarsfeld_floor(inv, replace(spec, variant="adjoint"))
     else:
         el = ein_lazarsfeld_floor(inv, spec) - _extra_twist(inv)

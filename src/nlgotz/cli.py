@@ -2,7 +2,8 @@
 
 Exit codes: 0 success (bound found / all checks passed / ample), 2 invalid
 arguments or out-of-domain inputs, 3 a clean "no" (no bound at this degree,
-not ample, hypotheses unmet), 4 a verification suite found a violation.
+not ample, hypotheses unmet), 4 a check failed (a verification suite found a
+violation, or a contradiction trace was not confirmed).
 """
 
 from __future__ import annotations
@@ -156,6 +157,8 @@ def cmd_decompose(args, out) -> int:
 
 
 def cmd_bound(args, out) -> int:
+    if args.trace is not None and args.format == "csv":
+        raise ValueError("--trace prints in the table format only; drop --format csv")
     variant = args.variant.replace("-", "_")
     spec = BundleSpec(
         variant=variant,
@@ -176,7 +179,7 @@ def cmd_bound(args, out) -> int:
         inv = _inline_invariants(args)
     res = nl_codim_floor(inv, spec)
     trace = None
-    if args.trace is not None:
+    if args.trace is not None and res.status == "floor":
         trace = contradiction_trace(inv, spec, args.trace)
     if args.format == "csv":
         w = csv.writer(out, lineterminator="\n")
@@ -210,8 +213,10 @@ def cmd_bound(args, out) -> int:
             print(f"contradiction trace at c_hyp = {trace.c_hyp}:", file=out)
             _check_marks(trace.steps, out)
             print(f"confirmed: {'yes' if trace.confirmed else 'NO'}", file=out)
+        elif args.trace is not None:
+            print("contradiction trace: not run, there is no floor to contradict", file=out)
     if res.status == "floor":
-        return 0
+        return 4 if trace is not None and not trace.confirmed else 0
     return 2 if res.status == "out_of_domain" else 3
 
 

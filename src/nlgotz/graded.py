@@ -136,10 +136,19 @@ class GradedSubspace:
     def __post_init__(self):
         n = section_dim(self.sheaf, self.degree, self.context)
         rows = np.asarray(self.basis)
+        if rows.ndim > 2:
+            raise ValueError(
+                f"a basis is a 2-dimensional array of rows, not {rows.ndim}-dimensional"
+            )
         if rows.ndim == 1 and rows.size == 0:
             # `[]` holds no rows, not one row of length 0
             rows = rows.reshape(0, n)
         rows = np.atleast_2d(rows)
+        if len(rows) and rows.shape[1] != n:
+            raise ValueError(
+                f"basis rows have {rows.shape[1]} entries, but H^0(M({self.degree})) "
+                f"has dimension {n}"
+            )
         b = modp.row_space(rows.reshape(len(rows), n), self.context.p)
         b.setflags(write=False)
         object.__setattr__(self, "basis", b)

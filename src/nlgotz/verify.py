@@ -16,6 +16,7 @@ import numpy as np
 
 from . import graded
 from .bounds import (
+    VARIANTS,
     BundleSpec,
     ThreefoldInvariants,
     _floor_formula,
@@ -93,6 +94,13 @@ class SuiteReport:
     def all_passed(self) -> bool:
         return not self.failures
 
+    def add(self, params: str, observed: str, bound: str, passed: bool) -> None:
+        """Record one verdict; its trial number is its position in the report."""
+        # the global `TrialRow` is read at each call, never bound once, so a
+        # replacement of `verify.TrialRow` sees every row (perfbench times
+        # each row of `verify all` that way)
+        self.rows.append(TrialRow(self.suite, len(self.rows), params, observed, bound, passed))
+
 
 def trial_rng(seed: int, suite: str, trial: int) -> np.random.Generator:
     """Counter-based generator for one trial; independent of execution order."""
@@ -100,82 +108,59 @@ def trial_rng(seed: int, suite: str, trial: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(seq))
 
 
-def _fmt_twists(twists) -> str:
-    return "+".join(str(a) for a in twists)
+def _random_trials(cfg: VerifyConfig, suite: str):
+    """(subspace, generator, params) of each random trial of `suite`.
+
+    Trial t takes the families in turn and draws its subspace from
+    `trial_rng(cfg.seed, suite, t)`, which the suite may draw more from.
+    """
+    for t in range(cfg.trials):
+        N, twists, d = _FAMILIES[t % len(_FAMILIES)]
+        rng = trial_rng(cfg.seed, suite, t)
+        v = random_subspace(RingContext(N, cfg.prime), SplitSheaf(twists), d, rng)
+        twist_text = "+".join(str(a) for a in twists)
+        yield v, rng, f"N={N};twists={twist_text};d={d};c={v.codim}"
 
 
 def run_macaulay_suite(cfg: VerifyConfig) -> SuiteReport:
     """Random subspaces against the growth bound, plus the sharp lex grid."""
     report = SuiteReport("macaulay")
-    for t in range(cfg.trials):
-        N, twists, d = _FAMILIES[t % len(_FAMILIES)]
-        rng = trial_rng(cfg.seed, "macaulay", t)
-        ctx = RingContext(N, cfg.prime)
-        sheaf = SplitSheaf(twists)
-        v = random_subspace(ctx, sheaf, d, rng)
+    for v, _, params in _random_trials(cfg, "macaulay"):
         chk = check_macaulay_gotzmann(v)
-        report.rows.append(
-            TrialRow(
-                "macaulay",
-                t,
-                f"N={N};twists={_fmt_twists(twists)};d={d};c={chk.codim}",
-                f"codim_next={chk.codim_next}",
-                f"upper={chk.bound}",
-                chk.holds,
-            )
-        )
+        report.add(params, f"codim_next={chk.codim_next}", f"upper={chk.bound}", chk.holds)
     # lex segments must meet the bound exactly
     ctx = RingContext(3, cfg.prime)
-    t = cfg.trials
     for d in range(1, 6):
         n = section_dim(SplitSheaf((0,)), d, ctx)
         for c in range(0, min(60, n) + 1):
-            v = lex_segment_subspace(c, d, ctx)
-            chk = check_macaulay_gotzmann(v)
-            report.rows.append(
-                TrialRow(
-                    "macaulay",
-                    t,
-                    f"lex;N=3;d={d};c={c}",
-                    f"codim_next={chk.codim_next}",
-                    f"upper={chk.bound}",
-                    chk.codim_next == chk.bound,
-                )
+            chk = check_macaulay_gotzmann(lex_segment_subspace(c, d, ctx))
+            report.add(
+                f"lex;N=3;d={d};c={c}",
+                f"codim_next={chk.codim_next}",
+                f"upper={chk.bound}",
+                chk.codim_next == chk.bound,
             )
-            t += 1
     return report
 
 
 def run_restriction_suite(cfg: VerifyConfig) -> SuiteReport:
     """Random subspaces against additivity and the restriction bound."""
     report = SuiteReport("restriction")
-    for t in range(cfg.trials):
-        N, twists, d = _FAMILIES[t % len(_FAMILIES)]
-        rng = trial_rng(cfg.seed, "restriction", t)
-        ctx = RingContext(N, cfg.prime)
-        sheaf = SplitSheaf(twists)
-        v = random_subspace(ctx, sheaf, d, rng)
-        params = f"N={N};twists={_fmt_twists(twists)};d={d};c={v.codim}"
+    for v, rng, params in _random_trials(cfg, "restriction"):
         try:
             res = restrict_to_hyperplane(v, rng)
         except (AdditivityError, GenericityError) as exc:
-            report.rows.append(
-                TrialRow("restriction", t, params, f"error={exc}", "", False)
-            )
+            report.add(params, f"error={exc}", "", False)
             continue
         ok = res.restriction_bound_holds
-        if d == 1 and v.codim >= 1:
+        if v.degree == 1 and v.codim >= 1:
             # degree one must reproduce the exact c - 1 bound
             ok = ok and res.bound == v.codim - 1
-        report.rows.append(
-            TrialRow(
-                "restriction",
-                t,
-                params,
-                f"codim_h={res.codim_h};codim_pre={res.codim_preimage};attempts={res.attempts}",
-                f"lower={res.bound}",
-                ok,
-            )
+        report.add(
+            params,
+            f"codim_h={res.codim_h};codim_pre={res.codim_preimage};attempts={res.attempts}",
+            f"lower={res.bound}",
+            ok,
         )
     return report
 
@@ -229,7 +214,6 @@ def _koszul_plan(cfg: VerifyConfig) -> list[tuple[str, graded.GradedSubspace]]:
 def run_koszul_suite(cfg: VerifyConfig) -> SuiteReport:
     """Koszul strands p = 0, 1 in the expected-exact range on P^2 conics."""
     report = SuiteReport("koszul")
-    t = 0
     for label, v in _koszul_plan(cfg):
         d_form = v.degree + v.sheaf.twists[0]
         for p_index in (0, 1):
@@ -237,17 +221,12 @@ def run_koszul_suite(cfg: VerifyConfig) -> SuiteReport:
             for k in (start, start + 1):
                 # every witness of the plan is certified base-point free
                 res = graded._koszul_strand(v, k, p_index, cfg.entry_budget)
-                report.rows.append(
-                    TrialRow(
-                        "koszul",
-                        t,
-                        f"V={label};c={v.codim};p={p_index};k={k}",
-                        f"exact={res.exact};rank_in={res.rank_in};rank_out={res.rank_out}",
-                        f"hypothesis k>={start}",
-                        res.exact and res.hypothesis_met,
-                    )
+                report.add(
+                    f"V={label};c={v.codim};p={p_index};k={k}",
+                    f"exact={res.exact};rank_in={res.rank_in};rank_out={res.rank_out}",
+                    f"hypothesis k>={start}",
+                    res.exact and res.hypothesis_met,
                 )
-                t += 1
     return report
 
 
@@ -255,20 +234,14 @@ def run_green_scan(cfg: VerifyConfig) -> SuiteReport:
     """Exhaustive hunt for counterexamples to the restriction implication."""
     report = SuiteReport("green-scan")
     hits = green_implication_scan(cfg.c_max, cfg.d_max)
-    report.rows.append(
-        TrialRow(
-            "green-scan",
-            0,
-            f"c_max={cfg.c_max};d_max={cfg.d_max}",
-            f"counterexamples={len(hits)}",
-            "expected=0",
-            len(hits) == 0,
-        )
+    report.add(
+        f"c_max={cfg.c_max};d_max={cfg.d_max}",
+        f"counterexamples={len(hits)}",
+        "expected=0",
+        len(hits) == 0,
     )
-    for t, (c, cp, d) in enumerate(hits, start=1):
-        report.rows.append(
-            TrialRow("green-scan", t, f"c={c};c_prime={cp};d={d}", "violation", "", False)
-        )
+    for c, cp, d in hits:
+        report.add(f"c={c};c_prime={cp};d={d}", "violation", "", False)
     return report
 
 
@@ -280,28 +253,17 @@ def run_growth_suite(cfg: VerifyConfig) -> SuiteReport:
     c^<n> is computed once over that range and each row reads a prefix.
     """
     report = SuiteReport("growth")
-    t = 0
     for n in range(1, cfg.n_max + 1):
         cs = np.arange(growth_slack_sum(n, n))
         ups = upper_macaulay_many(cs, n)
         for e in range(0, n + 2):
             slack_sum = growth_slack_sum(n, e)
             bad = int(np.count_nonzero(ups[:slack_sum] > cs[:slack_sum] + e))
-            report.rows.append(
-                TrialRow(
-                    "growth",
-                    t,
-                    f"n={n};e={e}",
-                    f"violations={bad}",
-                    f"cases={slack_sum}",
-                    bad == 0,
-                )
-            )
-            t += 1
+            report.add(f"n={n};e={e}", f"violations={bad}", f"cases={slack_sum}", bad == 0)
     return report
 
 
-def _threshold_grid_rows(report: SuiteReport, t0: int, cfg: VerifyConfig) -> int:
+def _threshold_grid_rows(report: SuiteReport) -> None:
     """Grids certifying the slack hypothesis above each degree threshold.
 
     For each branch, the largest hypothetical codimension (floor - 1) must
@@ -314,7 +276,6 @@ def _threshold_grid_rows(report: SuiteReport, t0: int, cfg: VerifyConfig) -> int
     every b here.
     """
     window = 40
-    t = t0
     # non-bundle chains run through one very ample canonical twist: a <= 3;
     # bundle chains (a = 4) need the extra twist
     cases = [("T2_general", a, b) for a in range(0, 4) for b in range(2, 9)]
@@ -341,32 +302,17 @@ def _threshold_grid_rows(report: SuiteReport, t0: int, cfg: VerifyConfig) -> int
                 worst = margin
             if not holds:
                 ok = False
-        report.rows.append(
-            TrialRow(
-                "thresholds",
-                t,
-                f"kind={kind};a={a};b={b};threshold={thr}",
-                f"min_margin={worst}",
-                "lhs<sum",
-                ok,
-            )
-        )
-        t += 1
-    return t
+        report.add(f"kind={kind};a={a};b={b};threshold={thr}", f"min_margin={worst}", "lhs<sum", ok)
 
 
 def run_thresholds_suite(cfg: VerifyConfig) -> SuiteReport:
     """Threshold formulas: exact values, integrality, and the slack grids."""
     report = SuiteReport("thresholds")
     expected = {("T1", 2): 14, ("T2_general", 2): 12, ("T2_p2bundle", 2): 10}
-    t = 0
     for (kind, b), want in expected.items():
         got = threshold_value(kind, b)
-        report.rows.append(
-            TrialRow("thresholds", t, f"kind={kind};b={b}", f"value={got}", f"expected={want}", got == want)
-        )
-        t += 1
-    t = _threshold_grid_rows(report, t, cfg)
+        report.add(f"kind={kind};b={b}", f"value={got}", f"expected={want}", got == want)
+    _threshold_grid_rows(report)
     return report
 
 
@@ -383,11 +329,10 @@ def consistency_sweep(
     report = SuiteReport("consistency")
     if records is None:
         records = default_catalog()
-    t = 0
     traced = 0
     for rec in records:
         inv = rec.invariants
-        for variant in ("minus_d_regular", "adjoint"):
+        for variant in VARIANTS:
             for h1 in ("unknown", "known_zero"):
                 for d in range(1, d_max + 1):
                     spec = BundleSpec(variant=variant, d=d, h1_vanishing=h1)
@@ -396,31 +341,16 @@ def consistency_sweep(
                         continue
                     params = f"entry={inv.name};variant={variant};h1={h1};d={d}"
                     if res.floor_value <= 0:
-                        report.rows.append(
-                            TrialRow(
-                                "consistency",
-                                t,
-                                params,
-                                f"floor={res.floor_value} (vacuous)",
-                                "",
-                                True,
-                            )
-                        )
-                        t += 1
+                        report.add(params, f"floor={res.floor_value} (vacuous)", "", True)
                         continue
                     trace = contradiction_trace(inv, spec, res.floor_value - 1)
                     traced += 1
-                    report.rows.append(
-                        TrialRow(
-                            "consistency",
-                            t,
-                            params,
-                            f"floor={res.floor_value};upper={trace.upper_value};el={trace.el_floor}",
-                            f"branch={trace.branch}",
-                            trace.confirmed,
-                        )
+                    report.add(
+                        params,
+                        f"floor={res.floor_value};upper={trace.upper_value};el={trace.el_floor}",
+                        f"branch={trace.branch}",
+                        trace.confirmed,
                     )
-                    t += 1
     if not traced:
         raise ValueError(
             f"no catalog entry has a floor of 1 or more at any d <= {d_max}; the sweep checks nothing"

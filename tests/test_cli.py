@@ -1,5 +1,6 @@
 """CLI behaviour: output formats, exit codes, environment overrides."""
 
+import dataclasses
 import hashlib
 import json
 import os
@@ -11,8 +12,9 @@ import numpy as np
 import pytest
 
 import nlgotz
-from nlgotz import graded
+from nlgotz import cli, graded
 from nlgotz import verify as verify_mod
+from nlgotz.bounds import contradiction_trace
 from nlgotz.catalog import loads_catalog
 from nlgotz.cli import main
 from nlgotz.verify import SuiteReport, TrialRow
@@ -48,6 +50,37 @@ def test_bound_quadric_with_trace(capsys):
     assert "floor: 5" in out
     assert "confirmed: yes" in out
     assert "note: quadric" in out
+
+
+def test_bound_trace_without_a_floor_reports_the_evaluation(capsys):
+    args = ["bound", "quintic", "--variant", "adjoint", "-d", "3"]
+    assert main(args) == 3
+    plain = capsys.readouterr()
+    assert main(args + ["--trace", "0"]) == 3
+    traced = capsys.readouterr()
+    assert traced.err == plain.err == ""
+    note = "contradiction trace: not run, there is no floor to contradict\n"
+    assert traced.out == plain.out + note
+    # P^3 is out of domain, traced or not
+    assert main(["bound", "--variant", "adjoint", "-d", "12", "--p3", "--trace", "0"]) == 2
+    assert "out_of_domain" in capsys.readouterr().out
+
+
+def test_bound_refuses_a_trace_in_csv(capsys):
+    args = ["bound", "quadric", "--variant", "minus-d-regular", "-d", "10"]
+    assert main(args + ["--trace", "4", "--format", "csv"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "--trace" in captured.err
+
+
+def test_bound_unconfirmed_trace_exits_4(monkeypatch, capsys):
+    def unconfirmed(inv, spec, c_hyp):
+        return dataclasses.replace(contradiction_trace(inv, spec, c_hyp), confirmed=False)
+
+    monkeypatch.setattr(cli, "contradiction_trace", unconfirmed)
+    args = ["bound", "quadric", "--variant", "minus-d-regular", "-d", "10", "--trace", "4"]
+    assert main(args) == 4
+    assert capsys.readouterr().out.endswith("confirmed: NO\n")
 
 
 def test_bound_no_bound_exit(capsys):

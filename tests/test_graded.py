@@ -5,10 +5,7 @@ and sympy ranks from tests/oracles.py, which share no code with the
 package's scatter-matrix machinery.
 """
 
-import importlib.util
 import itertools
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -157,18 +154,23 @@ def test_library_built_subspaces_equal_the_public_constructor():
         same(full_space(ctx, sheaf, degree), np.eye(n, dtype=np.int64))
 
 
-def test_subspaces_benchmark_pass_matches_its_recorded_digest(monkeypatch):
+def test_subspaces_benchmark_pass_matches_its_recorded_digest(workloads):
     # the `subspaces` workload checks growth and restriction on ambient dims
     # 105..453 and pins their outputs by a digest per seed, which a miss
     # turns into a failure of every item
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
-    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
-    workloads = importlib.util.module_from_spec(spec)
-    monkeypatch.setitem(sys.modules, spec.name, workloads)
-    spec.loader.exec_module(workloads)
     res = workloads.run_subspaces(0)
     assert res.info["digest_recorded"] and res.items > 0
     assert res.failed == 0, res.errors
+
+
+def test_subspace_refuses_a_basis_of_the_wrong_shape():
+    ctx = RingContext(2, P)
+    sheaf = SplitSheaf((0,))
+    # six entries per row on the conics of P^2, but not as a list of rows
+    with pytest.raises(ValueError, match="2-dimensional array of rows, not 3-dimensional"):
+        subspace_from_rows(ctx, sheaf, 2, np.ones((2, 3, 2), dtype=np.int64))
+    with pytest.raises(ValueError, match=r"5 entries, but H\^0\(M\(2\)\) has dimension 6"):
+        subspace_from_rows(ctx, sheaf, 2, [[1, 0, 0, 0, 0]])
 
 
 def test_full_zero_and_lex_edges():

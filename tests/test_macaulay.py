@@ -256,6 +256,14 @@ def test_green_scan_at_acceptance_size_is_fast():
     assert best < 0.02, best
 
 
+def test_expansions_benchmark_pass_matches_its_recorded_digest(workloads):
+    # the `expansions` workload pins each pair's expansion and both bounds by
+    # a digest per seed, which a miss turns into a failure of every item
+    res = workloads.run_expansions(0)
+    assert res.info["digest_recorded"] and res.items > 0
+    assert res.failed == 0, res.errors
+
+
 def _timed(fn, *args):
     t0 = time.perf_counter()
     fn(*args)

@@ -169,10 +169,25 @@ def test_consistency_sweep_custom_records():
 
 def test_suite_report_accounting():
     rep = SuiteReport("demo")
-    rep.rows.append(TrialRow("demo", 0, "p", "o", "b", True))
-    rep.rows.append(TrialRow("demo", 1, "p", "o", "b", False))
+    rep.add("p0", "o", "b", True)
+    rep.add("p1", "o", "", False)
+    # a row's trial number is its position
+    assert rep.rows == [
+        TrialRow("demo", 0, "p0", "o", "b", True),
+        TrialRow("demo", 1, "p1", "o", "", False),
+    ]
     assert rep.total == 2
     assert len(rep.failures) == 1 and not rep.all_passed
+
+
+def test_verify_all_benchmark_pass_times_every_row(workloads):
+    # the `verify-all` workload times each row by replacing `verify.TrialRow`,
+    # and `cli.run_suite` / `cli.consistency_sweep` for each suite's start
+    res = workloads.run_verify_all(0)
+    assert res.info["digest_recorded"] and res.items > 0
+    assert res.failed == 0, res.errors
+    assert len(res.item_ms) == res.items
+    assert verify.TrialRow is TrialRow
 
 
 @pytest.mark.parametrize(
