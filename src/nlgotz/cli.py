@@ -179,8 +179,13 @@ def cmd_bound(args, out) -> int:
         inv = _inline_invariants(args)
     res = nl_codim_floor(inv, spec)
     trace = None
+    not_run = "there is no floor to contradict"
     if args.trace is not None and res.status == "floor":
-        trace = contradiction_trace(inv, spec, args.trace)
+        try:
+            trace = contradiction_trace(inv, spec, args.trace)
+        except ValueError as exc:
+            # c_hyp outside [0, floor - 1]: the evaluation still stands
+            not_run = str(exc)
     if args.format == "csv":
         w = csv.writer(out, lineterminator="\n")
         w.writerow(["entry", "variant", "d", "h1", "status", "floor", "branch", "n"])
@@ -214,9 +219,11 @@ def cmd_bound(args, out) -> int:
             _check_marks(trace.steps, out)
             print(f"confirmed: {'yes' if trace.confirmed else 'NO'}", file=out)
         elif args.trace is not None:
-            print("contradiction trace: not run, there is no floor to contradict", file=out)
+            print(f"contradiction trace: not run, {not_run}", file=out)
     if res.status == "floor":
-        return 4 if trace is not None and not trace.confirmed else 0
+        if trace is None:
+            return 0 if args.trace is None else 2
+        return 0 if trace.confirmed else 4
     return 2 if res.status == "out_of_domain" else 3
 
 

@@ -10,10 +10,14 @@ this package: `upper_macaulay` caps the codimension jump of a polynomial
 subspace under multiplication by linear forms, and `lower_macaulay` caps the
 codimension of its restriction to a generic hyperplane.
 
-The scalar functions are plain integer arithmetic.  The whole-range
-functions (`*_many`, `green_implication_scan`) work on numpy arrays and
-import numpy when first called, so the floor evaluator and the command line,
-which use only the scalar ones, start without it.
+The scalar functions are plain integer arithmetic on one greedy walk,
+`_walk`.  It is memoized on the last few (c, d), so the expansion and both
+bounds of one pair walk once, and it stops at the trailing terms
+C(j, j) = 1, so an expansion that ends in many ones costs no search and
+grows no table.  The whole-range functions (`*_many`,
+`green_implication_scan`) work on numpy arrays and import numpy when first
+called, so the floor evaluator and the command line, which use only the
+scalar ones, start without it.
 """
 
 from __future__ import annotations
@@ -87,6 +91,9 @@ class MacaulayRep:
 # no table grows with c; past the cap, k comes from a search on math.comb.
 _tables: dict[int, list[int]] = {}
 _TABLE_CAP = 4096
+# (c, d) pairs whose greedy walk `_walk` keeps: one pair's expansion and both
+# bounds walk once
+_WALK_MEMO = 8
 
 # below this c the whole-range functions work in int64: a term is below 2^31 and
 # its k at most c + d, so every product they form is below 2^31 (2^31 + d) < 2^63;
@@ -120,47 +127,51 @@ def _top_past_table(c: int, i: int) -> int:
     return lo
 
 
-def _expand(c: int, d: int) -> tuple[int, ...]:
-    """k_d > k_{d-1} > ... > k_f of the greedy expansion of c >= 0 in degree d >= 1.
+@lru_cache(maxsize=_WALK_MEMO)
+def _walk(c: int, d: int) -> tuple[tuple[int, ...], int]:
+    """The greedy expansion of c >= 0 in degree d >= 1, as (walked ks, ones).
 
     Each step takes the largest k with C(k, i) <= rem and subtracts that
     binomial, read from the table it was found in rather than recomputed; the
     classical argument shows this is the unique valid expansion, so the
-    strict-decrease check can never fire.
+    strict-decrease check can never fire.  The walk stops once rem <= i:
+    the rest of the expansion is then rem terms C(j, j) = 1, j = i, i - 1,
+    ..., which need no search and are returned as their count, so
+    k_d, ..., k_f is the walked tuple followed by range(i, i - ones, -1),
+    i = d - len(walked).  Memoized on the last few (c, d), since a caller
+    usually wants the expansion and both bounds of one pair.
     """
+    if d < 1:
+        raise ValueError("expansion degree must be at least 1")
+    if c < 0:
+        raise ValueError("only nonnegative integers have Macaulay expansions")
     ks: list[int] = []
     rem = c
     i = d
-    while rem > 0:
-        if i == 1:
-            k, term = rem, rem
-        elif i == 2:
-            # k(k - 1)/2 <= rem < (k + 1)k/2
-            k = (1 + math.isqrt(1 + 8 * rem)) // 2
-            term = k * (k - 1) // 2
-        else:
+    prev = c + d  # above k_d, as C(k_d, d) >= k_d - d + 1
+    while rem > i:
+        if i > 2:
+            # the degree-i table, grown first if it ends at or below rem
             t = _tables.get(i)
-            if t is None or rem >= t[-1]:
-                t = _table_upto(i, rem)
-            if rem < t[-1]:
+            if (t is not None and rem < t[-1]) or rem < (t := _table_upto(i, rem))[-1]:
                 j = bisect_right(t, rem) - 1
                 k, term = i + j, t[j]
             else:
                 k = _top_past_table(rem, i)
                 term = math.comb(k, i)
-        if ks and k >= ks[-1]:
+        elif i == 2:
+            # k(k - 1)/2 <= rem < (k + 1)k/2
+            k = (1 + math.isqrt(1 + 8 * rem)) // 2
+            term = k * (k - 1) // 2
+        else:
+            k, term = rem, rem
+        if k >= prev:
             raise AssertionError("greedy expansion lost strict decrease")
         ks.append(k)
+        prev = k
         rem -= term
         i -= 1
-    return tuple(ks)
-
-
-def _check_args(c: int, d: int) -> None:
-    if d < 1:
-        raise ValueError("expansion degree must be at least 1")
-    if c < 0:
-        raise ValueError("only nonnegative integers have Macaulay expansions")
+    return tuple(ks), rem
 
 
 def macaulay_rep(c: int, d: int) -> MacaulayRep:
@@ -169,8 +180,11 @@ def macaulay_rep(c: int, d: int) -> MacaulayRep:
     Picks the largest k_d with C(k_d, d) <= c and recurses on the remainder
     in degree d - 1.
     """
-    _check_args(c, d)
-    return MacaulayRep(d, _expand(c, d))
+    ks, ones = _walk(c, d)
+    if ones:
+        i = d - len(ks)
+        ks += tuple(range(i, i - ones, -1))
+    return MacaulayRep(d, ks)
 
 
 def upper_macaulay(c: int, d: int) -> int:
@@ -179,8 +193,9 @@ def upper_macaulay(c: int, d: int) -> int:
     Satisfies c^<d> = c for 0 <= c <= d, and equals the next full-space
     dimension when c is one: C(N + d, N)^<d> = C(N + d + 1, N).
     """
-    _check_args(c, d)
-    return sum([math.comb(k + 1, d - j + 1) for j, k in enumerate(_expand(c, d))])
+    ks, ones = _walk(c, d)
+    # each trailing C(j, j) = 1 maps to C(j + 1, j + 1) = 1
+    return sum([math.comb(k + 1, d - j + 1) for j, k in enumerate(ks)]) + ones
 
 
 def lower_macaulay(c: int, d: int) -> int:
@@ -188,8 +203,8 @@ def lower_macaulay(c: int, d: int) -> int:
 
     In degree one this is exactly c - 1 for c >= 1, and 0 for c = 0.
     """
-    _check_args(c, d)
-    return sum([math.comb(k - 1, d - j) for j, k in enumerate(_expand(c, d))])
+    # each trailing C(j, j) = 1 maps to C(j - 1, j) = 0
+    return sum([math.comb(k - 1, d - j) for j, k in enumerate(_walk(c, d)[0])])
 
 
 def _counts(cs, d: int) -> np.ndarray:
@@ -217,7 +232,7 @@ def _counts(cs, d: int) -> np.ndarray:
 def _expand_many(cs: np.ndarray, d: int) -> tuple[np.ndarray, np.ndarray]:
     """(k_i, C(k_i, i)) of every c < _VECTOR_LIMIT, as (len, d) matrices, 0 where absent.
 
-    The greedy step of `_expand` for all rows at once: one searchsorted per
+    The greedy step of `_walk` for all rows at once: one searchsorted per
     degree on the table, a float64 square root in degree 2.
     """
     import numpy as np
@@ -233,7 +248,7 @@ def _expand_many(cs: np.ndarray, d: int) -> tuple[np.ndarray, np.ndarray]:
         if i == 1:
             k, term = rem, rem
         elif i == 2:
-            # as in `_expand`: 1 + 8 rem < 2^34, so the float64 root is within
+            # as in `_walk`: 1 + 8 rem < 2^34, so the float64 root is within
             # 2^-35 of the true one, which is an integer or 2^-18 from one,
             # and its floor is isqrt(1 + 8 rem)
             k = ((1 + np.floor(np.sqrt(1 + 8 * rem))) // 2).astype(np.int64)
@@ -265,7 +280,7 @@ def macaulay_rep_many(cs, d: int) -> np.ndarray:
     ks = np.zeros((cs.size, d), dtype=np.int64)
     ks[near] = _expand_many(cs[near], d)[0]
     for r in np.flatnonzero(~near):
-        row = _expand(int(cs[r]), d)
+        row = macaulay_rep(int(cs[r]), d).ks
         ks[r, : len(row)] = row
     return ks
 

@@ -1,7 +1,8 @@
 """Independent recomputation paths used to pin down expected values.
 
 Nothing in this module imports from nlgotz.  Binomials come from the
-Pascal recurrence, expansions from exhaustive search, the restriction
+Pascal recurrence, expansions from exhaustive search (and, for c too large
+to search, from a greedy bisection on `math.comb`), the restriction
 implication's counterexamples from the whole (c, c') triangle, matrix ranks,
 reduced echelon forms and kernels from sympy's exact GF(p) arithmetic,
 polynomial images and preimages from dict-based exponent bookkeeping, and
@@ -78,6 +79,39 @@ def all_decompositions(c: int, d: int) -> list[tuple[int, ...]]:
     if c < 0 or d < 1:
         raise ValueError("need c >= 0 and d >= 1")
     return search(c, d, c + d)
+
+
+def comb_greedy(c: int, d: int) -> tuple[int, ...]:
+    """The greedy expansion of c in degree d: at each i, the largest k with
+    C(k, i) <= rem, found by doubling and bisecting on `math.comb`."""
+    if c < 0 or d < 1:
+        raise ValueError("need c >= 0 and d >= 1")
+    ks = []
+    rem = c
+    for i in range(d, 0, -1):
+        if rem == 0:
+            break
+        lo, hi = i, i + 1  # C(lo, i) = 1 <= rem
+        while math.comb(hi, i) <= rem:
+            lo, hi = hi, 2 * hi
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            if math.comb(mid, i) <= rem:
+                lo = mid
+            else:
+                hi = mid
+        ks.append(lo)
+        rem -= math.comb(lo, i)
+    return tuple(ks)
+
+
+def shifted_bounds(d: int, ks: tuple[int, ...]) -> tuple[int, int]:
+    """(c^<d>, c_<d>) from the expansion ks of c: sum C(k + 1, i + 1) and sum C(k - 1, i)."""
+    degrees = range(d, d - len(ks), -1)
+    return (
+        sum(math.comb(k + 1, i + 1) for k, i in zip(ks, degrees)),
+        sum(math.comb(k - 1, i) for k, i in zip(ks, degrees)),
+    )
 
 
 def green_triangle(

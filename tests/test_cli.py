@@ -66,6 +66,27 @@ def test_bound_trace_without_a_floor_reports_the_evaluation(capsys):
     assert "out_of_domain" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize(
+    "c_hyp, reason",
+    [
+        (5, "c_hyp = 5 is not below the floor 5; nothing to refute"),
+        (8, "c_hyp = 8 is not below the floor 5; nothing to refute"),
+        (-1, "c_hyp must be nonnegative"),
+    ],
+)
+def test_bound_trace_outside_the_floor_reports_the_evaluation(capsys, c_hyp, reason):
+    # the quadric's floor at d = 10 is 5: c_hyp = F, F + 3 and -1 have nothing
+    # to refute, so the evaluation is printed and one line says why
+    args = ["bound", "quadric", "--variant", "minus-d-regular", "-d", "10"]
+    assert main(args) == 0
+    plain = capsys.readouterr()
+    assert "floor: 5" in plain.out
+    assert main(args + ["--trace", str(c_hyp)]) == 2
+    traced = capsys.readouterr()
+    assert traced.err == plain.err == ""
+    assert traced.out == plain.out + f"contradiction trace: not run, {reason}\n"
+
+
 def test_bound_refuses_a_trace_in_csv(capsys):
     args = ["bound", "quadric", "--variant", "minus-d-regular", "-d", "10"]
     assert main(args + ["--trace", "4", "--format", "csv"]) == 2

@@ -14,6 +14,7 @@ from nlgotz.macaulay import (
     binom,
     green_implication_scan,
     growth_slack_check,
+    growth_slack_sum,
     lower_macaulay,
     lower_macaulay_many,
     macaulay_rep,
@@ -22,7 +23,7 @@ from nlgotz.macaulay import (
     upper_macaulay_many,
 )
 
-from oracles import all_decompositions, green_triangle, pascal_binom
+from oracles import all_decompositions, comb_greedy, green_triangle, pascal_binom, shifted_bounds
 
 
 def test_binom_matches_pascal_recurrence():
@@ -175,6 +176,20 @@ def test_growth_slack_bound_holds_under_hypothesis():
                 assert chk.bound_holds, (c, n, e, chk)
 
 
+def test_growth_slack_sum_is_sharp():
+    # one past the premise the bound fails: at c = sum_{i=0}^{e} (n + 1 - i),
+    # c^<n> > c + e for every n <= 40 and 0 <= e <= n + 1 (900 pairs)
+    pairs = 0
+    for n in range(1, 41):
+        edge = [growth_slack_sum(n, e) for e in range(n + 2)]
+        uppers = [upper_macaulay(c, n) for c in edge]
+        assert upper_macaulay_many(edge, n).tolist() == uppers, n
+        for e, (c, upper) in enumerate(zip(edge, uppers)):
+            assert upper > c + e, (n, e, c, upper)
+            pairs += 1
+    assert pairs == 900
+
+
 def test_green_scan_small_domain_is_empty():
     assert green_implication_scan(200, 6) == []
     assert green_implication_scan(-1, 5) == []
@@ -315,6 +330,18 @@ def test_many_edge_contract():
     assert macaulay_rep_many([top], 2)[0].tolist() == _padded(top, 2)
 
 
+def test_a_walk_of_ones_grows_no_table():
+    # c <= d expands as C(d, d) + C(d - 1, d - 1) + ...: the walk takes no
+    # step, so no degree gets a table however large d is
+    macaulay._walk.cache_clear()
+    before = {d: len(t) for d, t in macaulay._tables.items()}
+    assert upper_macaulay(20000, 20000) == 20000
+    assert lower_macaulay(20000, 20000) == 0
+    rep = macaulay_rep(10, 100000)
+    assert rep.ks == tuple(range(100000, 99990, -1)) and rep.value() == 10
+    assert {d: len(t) for d, t in macaulay._tables.items()} == before
+
+
 def test_huge_c_stays_fast_with_bounded_tables():
     for d in (2, 3):
         t0 = time.perf_counter()
@@ -335,6 +362,46 @@ _cs = st.one_of(st.integers(0, 500), st.integers(0, 10**12))
 _ds = st.integers(1, 12)
 # below and above the int64 sweep limit, up to the largest int64
 _int64_cs = st.one_of(st.integers(0, 3000), st.integers(0, 2**31 + 10), st.integers(0, 2**63 - 1))
+
+
+_deep_ds = st.integers(1, 80)
+
+
+def _check_scalar_against_oracles(c, d):
+    ks = comb_greedy(c, d)
+    rep = macaulay_rep(c, d)
+    assert rep.ks == ks, (c, d)
+    assert (upper_macaulay(c, d), lower_macaulay(c, d)) == shifted_bounds(d, ks), (c, d)
+
+
+def test_scalar_functions_match_the_oracles_to_degree_80():
+    # c <= d + 3 reaches the tail of ones from every side: all ones, one
+    # step then ones, and past the first C(d + 1, d) = d + 1
+    for d in range(1, 81):
+        for c in range(d + 4):
+            _check_scalar_against_oracles(c, d)
+            assert [macaulay_rep(c, d).ks] == all_decompositions(c, d), (c, d)
+
+
+@given(c=st.one_of(st.integers(0, 10**6), st.integers(0, 10**40)), d=_deep_ds)
+def test_scalar_functions_match_the_greedy_oracle_for_large_c(c, d):
+    _check_scalar_against_oracles(c, d)
+
+
+@given(pairs=st.lists(st.tuples(st.integers(0, 10**9), _deep_ds), min_size=1, max_size=6))
+def test_memo_eviction_never_changes_an_answer(pairs):
+    def answers():
+        return [(macaulay_rep(c, d), upper_macaulay(c, d), lower_macaulay(c, d)) for c, d in pairs]
+
+    first = answers()
+    # more distinct keys than the memo holds push every pair out of it
+    for c in range(3 * macaulay._WALK_MEMO):
+        upper_macaulay(c + 10**12, 7)
+    again = answers()
+    assert again == first == answers()
+    for (c, d), (rep, upper, lower) in zip(pairs, first):
+        assert rep.ks == comb_greedy(c, d)
+        assert (upper, lower) == shifted_bounds(d, rep.ks)
 
 
 @given(cs=st.lists(_int64_cs, max_size=12), d=_ds)
