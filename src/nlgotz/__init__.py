@@ -7,7 +7,8 @@ catalog, the scalar Macaulay functions and the run settings are plain
 Python and are bound here at import.  The F_p layers (`graded`, `modp`,
 `monomials`, `verify`) and their names are imported on first access, so
 numpy loads only where F_p arithmetic runs; the whole-range Macaulay
-functions (`*_many`, `green_implication_scan`) load it when first called.
+functions over c = 0..c_max (`upper_macaulay_upto`, `lower_macaulay_upto`,
+`green_implication_scan`) load it when first called.
 """
 
 from .bounds import (
@@ -42,11 +43,10 @@ from .macaulay import (
     green_implication_scan,
     growth_slack_check,
     lower_macaulay,
-    lower_macaulay_many,
+    lower_macaulay_upto,
     macaulay_rep,
-    macaulay_rep_many,
     upper_macaulay,
-    upper_macaulay_many,
+    upper_macaulay_upto,
 )
 from .settings import DEFAULT_SEED, SUITES, VerifyConfig
 
@@ -113,11 +113,10 @@ __all__ = [
     "green_implication_scan",
     "growth_slack_check",
     "lower_macaulay",
-    "lower_macaulay_many",
+    "lower_macaulay_upto",
     "macaulay_rep",
-    "macaulay_rep_many",
     "upper_macaulay",
-    "upper_macaulay_many",
+    "upper_macaulay_upto",
     "DEFAULT_SEED",
     "SUITES",
     "VerifyConfig",

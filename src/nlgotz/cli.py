@@ -75,7 +75,7 @@ def _parser() -> argparse.ArgumentParser:
     b.add_argument("--h1-zero", action="store_true", help="declare the H^1 vanishing known")
     b.add_argument("--trace", type=int, metavar="C", help="replay the argument at c_hyp = C")
     b.add_argument("--catalog", metavar="PATH", help="load entries from this catalog file")
-    b.add_argument("--name", default="inline", help="name for inline invariants")
+    b.add_argument("--name", help="name for inline invariants (default: inline)")
     for flag in _INVARIANT_FLAGS:
         b.add_argument(flag, type=int)
     for flag in _SHAPE_FLAGS:
@@ -124,7 +124,7 @@ def _inline_invariants(args) -> ThreefoldInvariants:
             f"no catalog entry given, so inline invariants are required: missing {' '.join(missing)}"
         )
     inv = ThreefoldInvariants(
-        name=args.name,
+        name="inline" if args.name is None else args.name,
         **{key: 1 if val is None else val for key, val in values.items()},
         is_linear_p2_bundle=args.p2_bundle,
         is_quadric=args.quadric,
@@ -167,7 +167,9 @@ def cmd_bound(args, out) -> int:
     )
     if args.entry:
         clashing = [
-            flag for flag in _INVARIANT_FLAGS if getattr(args, _dest(flag)) is not None
+            flag
+            for flag in (*_INVARIANT_FLAGS, "--name")
+            if getattr(args, _dest(flag)) is not None
         ] + [flag for flag in _SHAPE_FLAGS if getattr(args, _dest(flag))]
         if clashing:
             raise ValueError(

@@ -14,15 +14,17 @@ The scalar functions are plain integer arithmetic on one greedy walk,
 `_walk`.  It is memoized on the last few (c, d), so the expansion and both
 bounds of one pair walk once, and it stops at the trailing terms
 C(j, j) = 1, so an expansion that ends in many ones costs no search and
-grows no table.  The whole-range functions (`*_many`,
-`green_implication_scan`) work on numpy arrays and import numpy when first
-called, so the floor evaluator and the command line, which use only the
-scalar ones, start without it.
+grows no table.  The whole-range functions, `upper_macaulay_upto`,
+`lower_macaulay_upto` and `green_implication_scan`, cover every c in
+0..c_max for c_max < 2^31 with one int64 loop over the degrees.  They
+import numpy when first called, so the floor evaluator and the command
+line, which use only the scalar ones, start without it.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
@@ -37,9 +39,8 @@ __all__ = [
     "macaulay_rep",
     "upper_macaulay",
     "lower_macaulay",
-    "macaulay_rep_many",
-    "upper_macaulay_many",
-    "lower_macaulay_many",
+    "upper_macaulay_upto",
+    "lower_macaulay_upto",
     "growth_slack_sum",
     "GrowthSlackCheck",
     "growth_slack_check",
@@ -95,11 +96,9 @@ _TABLE_CAP = 4096
 # bounds walk once
 _WALK_MEMO = 8
 
-# below this c the whole-range functions work in int64: a term is below 2^31 and
-# its k at most c + d, so every product they form is below 2^31 (2^31 + d) < 2^63;
-# rows at or above it go through the exact scalar path
-_VECTOR_LIMIT = 2**31
-_INT64_MAX = 2**63 - 1
+# the whole-range bounds cover c < 2^31: a term is then below 2^31 and its k
+# at most c + d, so every product they form is below 2^31 (2^31 + d) < 2^63
+_UPTO_LIMIT = 2**31
 
 
 def _table_upto(d: int, limit: int) -> list[int]:
@@ -139,8 +138,11 @@ def _walk(c: int, d: int) -> tuple[tuple[int, ...], int]:
     ..., which need no search and are returned as their count, so
     k_d, ..., k_f is the walked tuple followed by range(i, i - ones, -1),
     i = d - len(walked).  Memoized on the last few (c, d), since a caller
-    usually wants the expansion and both bounds of one pair.
+    usually wants the expansion and both bounds of one pair.  A numpy
+    integer shares its key with the equal int, so both are made ints here,
+    on a miss, before any arithmetic could wrap at 2^63.
     """
+    c, d = operator.index(c), operator.index(d)
     if d < 1:
         raise ValueError("expansion degree must be at least 1")
     if c < 0:
@@ -207,42 +209,25 @@ def lower_macaulay(c: int, d: int) -> int:
     return sum([math.comb(k - 1, d - j) for j, k in enumerate(_walk(c, d)[0])])
 
 
-def _counts(cs, d: int) -> np.ndarray:
-    """cs as a 1-D int64 array, refusing what the scalar functions refuse."""
+def _bound_upto(c_max: int, d: int, shifted) -> np.ndarray:
+    """Sum `shifted(k, term, i)` over the degree-d expansion terms C(k, i) of
+    every c in 0..c_max, as one int64 vector indexed by c.
+
+    The greedy step of `_walk` for the whole range at once, degree by degree:
+    one searchsorted on the table, a float64 square root in degree 2, k = rem
+    in degree 1.  A c whose expansion has ended takes k = i - 1 and term 0,
+    which every shift maps to 0, and the loop stops once every rem is 0.
+    """
     import numpy as np
 
     if d < 1:
         raise ValueError("expansion degree must be at least 1")
-    try:
-        a = np.asarray(cs)
-    except OverflowError:
-        raise ValueError("cs must be integers that fit in int64") from None
-    if a.ndim != 1:
-        raise ValueError("cs must be one-dimensional")
-    if a.size == 0:
-        return np.zeros(0, dtype=np.int64)
-    if a.dtype.kind not in "iu" or (a.dtype.kind == "u" and a.max() > _INT64_MAX):
-        raise ValueError("cs must be integers that fit in int64")
-    a = a.astype(np.int64)
-    if a.min() < 0:
-        raise ValueError("only nonnegative integers have Macaulay expansions")
-    return a
-
-
-def _expand_many(cs: np.ndarray, d: int) -> tuple[np.ndarray, np.ndarray]:
-    """(k_i, C(k_i, i)) of every c < _VECTOR_LIMIT, as (len, d) matrices, 0 where absent.
-
-    The greedy step of `_walk` for all rows at once: one searchsorted per
-    degree on the table, a float64 square root in degree 2.
-    """
-    import numpy as np
-
-    ks = np.zeros((cs.size, d), dtype=np.int64)
-    terms = np.zeros_like(ks)
-    rem = cs.copy()
-    for j in range(d):
-        i = d - j
-        top = int(rem.max(initial=0))
+    if not 0 <= c_max < _UPTO_LIMIT:
+        raise ValueError(f"c_max must lie in [0, 2^31), got {c_max}")
+    rem = np.arange(c_max + 1, dtype=np.int64)
+    out = np.zeros_like(rem)
+    for i in range(d, 0, -1):
+        top = int(rem.max())
         if top == 0:
             break
         if i == 1:
@@ -254,73 +239,31 @@ def _expand_many(cs: np.ndarray, d: int) -> tuple[np.ndarray, np.ndarray]:
             k = ((1 + np.floor(np.sqrt(1 + 8 * rem))) // 2).astype(np.int64)
             term = k * (k - 1) // 2
         else:
+            # led by C(i - 1, i) = 0, so rem = 0 finds j = 0
             t = _table_upto(i, top)
-            t = np.array(t[: bisect_right(t, top) + 1], dtype=np.int64)
-            idx = np.searchsorted(t, rem, side="right") - 1
-            k, term = i + idx, t[idx]
-        live = rem > 0
-        ks[:, j] = np.where(live, k, 0)
-        terms[:, j] = np.where(live, term, 0)
-        rem = rem - terms[:, j]
-    return ks, terms
-
-
-def macaulay_rep_many(cs, d: int) -> np.ndarray:
-    """Macaulay expansions in degree d of every c in cs at once.
-
-    Returns an int64 (len(cs), d) matrix whose row r is
-    `macaulay_rep(cs[r], d).ks` padded with 0 where a term is absent.  cs is
-    a 1-D sequence of nonnegative integers that fit in int64; a negative c,
-    d < 1 or a c past int64 raises ValueError.
-    """
-    import numpy as np
-
-    cs = _counts(cs, d)
-    near = cs < _VECTOR_LIMIT
-    ks = np.zeros((cs.size, d), dtype=np.int64)
-    ks[near] = _expand_many(cs[near], d)[0]
-    for r in np.flatnonzero(~near):
-        row = macaulay_rep(int(cs[r]), d).ks
-        ks[r, : len(row)] = row
-    return ks
-
-
-def _bound_many(cs, d: int, scalar, shifted) -> np.ndarray:
-    """Sum `shifted(ks, terms, degrees)` over the terms of each c below
-    _VECTOR_LIMIT, and take `scalar(c, d)` for the rest, refusing a value
-    past int64 rather than letting it wrap."""
-    import numpy as np
-
-    cs = _counts(cs, d)
-    near = cs < _VECTOR_LIMIT
-    out = np.zeros(cs.size, dtype=np.int64)
-    ks, terms = _expand_many(cs[near], d)
-    out[near] = shifted(ks, terms, np.arange(d, 0, -1)).sum(axis=1)
-    for r in np.flatnonzero(~near):
-        value = scalar(int(cs[r]), d)
-        if value > _INT64_MAX:
-            raise ValueError(f"{scalar.__name__}({cs[r]}, {d}) = {value} does not fit in int64")
-        out[r] = value
+            t = np.array([0, *t[: bisect_right(t, top) + 1]], dtype=np.int64)
+            j = np.searchsorted(t, rem, side="right") - 1
+            k, term = i - 1 + j, t[j]
+        out += shifted(k, term, i)
+        rem = rem - term
     return out
 
 
-def upper_macaulay_many(cs, d: int) -> np.ndarray:
-    """`upper_macaulay(c, d)` for every c in cs, as int64 (see `macaulay_rep_many`).
+def upper_macaulay_upto(c_max: int, d: int) -> np.ndarray:
+    """`upper_macaulay(c, d)` for every c in 0..c_max, as int64 indexed by c.
 
-    A c whose bound c^<d> would not fit in int64 raises ValueError.
+    c_max must lie in [0, 2^31) and d be at least 1; ValueError otherwise.
     """
     # C(k + 1, i + 1) = C(k, i) (k + 1) / (i + 1)
-    return _bound_many(cs, d, upper_macaulay, lambda ks, terms, i: terms * (ks + 1) // (i + 1))
+    return _bound_upto(c_max, d, lambda k, term, i: term * (k + 1) // (i + 1))
 
 
-def lower_macaulay_many(cs, d: int) -> np.ndarray:
-    """`lower_macaulay(c, d)` for every c in cs, as int64 (see `macaulay_rep_many`)."""
+def lower_macaulay_upto(c_max: int, d: int) -> np.ndarray:
+    """`lower_macaulay(c, d)` for every c in 0..c_max (see `upper_macaulay_upto`)."""
     import numpy as np
 
-    # C(k - 1, i) = C(k, i) (k - i) / k
-    return _bound_many(
-        cs, d, lower_macaulay, lambda ks, terms, i: terms * (ks - i) // np.maximum(ks, 1)
-    )
+    # C(k - 1, i) = C(k, i) (k - i) / k, and C(-1, 1) = 0 in degree 1
+    return _bound_upto(c_max, d, lambda k, term, i: term * (k - i) // np.maximum(k, 1))
 
 
 def growth_slack_sum(n: int, e: int) -> int:
@@ -367,7 +310,7 @@ def growth_slack_check(c: int, n: int, e: int) -> GrowthSlackCheck:
 def _lower_table(c_max: int, d: int) -> np.ndarray:
     import numpy as np
 
-    out = lower_macaulay_many(np.arange(c_max + 1), d)
+    out = lower_macaulay_upto(c_max, d)
     out.setflags(write=False)
     return out
 

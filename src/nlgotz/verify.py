@@ -40,7 +40,7 @@ from .graded import (
     section_dim,
     subspace_from_rows,
 )
-from .macaulay import green_implication_scan, growth_slack_sum, upper_macaulay_many
+from .macaulay import green_implication_scan, growth_slack_sum, upper_macaulay_upto
 from .monomials import monomial_index
 from .settings import DEFAULT_SEED, DEFAULT_TRACE_DMAX, SUITES, VerifyConfig
 
@@ -254,8 +254,8 @@ def run_growth_suite(cfg: VerifyConfig) -> SuiteReport:
     """
     report = SuiteReport("growth")
     for n in range(1, cfg.n_max + 1):
-        cs = np.arange(growth_slack_sum(n, n))
-        ups = upper_macaulay_many(cs, n)
+        ups = upper_macaulay_upto(growth_slack_sum(n, n) - 1, n)
+        cs = np.arange(ups.size)
         for e in range(0, n + 2):
             slack_sum = growth_slack_sum(n, e)
             bad = int(np.count_nonzero(ups[:slack_sum] > cs[:slack_sum] + e))

@@ -139,6 +139,22 @@ def test_bound_inline_invariants(capsys):
     assert "floor: 12" in out  # d - 5 + alpha - 2 beta
 
 
+def test_bound_entry_refuses_a_name(capsys):
+    # --name names inline invariants only; an entry keeps its catalog name
+    code = main(["bound", "quartic", "--variant", "adjoint", "-d", "20", "--name", "foo"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert "conflicts with inline invariant flags: --name" in captured.err
+    assert "floor:" not in captured.out
+    # without --name, inline invariants are named "inline"
+    code = main(
+        ["bound", "--variant", "minus-d-regular", "-d", "20",
+         "--alpha", "1", "--beta", "2", "--a-adj", "0", "--b-adj", "1"]
+    )
+    assert code == 0
+    assert "entry: inline" in capsys.readouterr().out
+
+
 def test_bound_inline_missing_flags(capsys):
     assert main(["bound", "--variant", "adjoint", "-d", "12", "--alpha", "1"]) == 2
     assert "--beta" in capsys.readouterr().err
@@ -346,7 +362,8 @@ def test_module_entry_point():
 
 
 # every public name of `nlgotz` before its F_p layers were imported on first use,
-# less the retired `zero_subspace` and `save_catalog`
+# less the retired `zero_subspace`, `save_catalog` and `macaulay_rep_many`, and with
+# the whole-range bounds under their range names `*_upto`
 PUBLIC_NAMES = """
 AdditivityError AmplenessResult BoundResult BudgetExceededError BundleSpec CatalogError
 CatalogRecord CertificationError ContradictionTrace DEFAULT_SEED GenericityError GotzmannCheck
@@ -356,9 +373,9 @@ VerifyConfig binom blowup_ampleness bounds catalog check_macaulay_gotzmann consi
 contradiction_trace default_catalog derive_subcanonical_invariants dumps_catalog
 ein_lazarsfeld_floor find_record full_space graded green_implication_scan growth_slack_check
 is_basepoint_free is_cm_regular koszul_middle_exact lex_segment_subspace load_catalog
-loads_catalog lower_macaulay lower_macaulay_many macaulay macaulay_rep macaulay_rep_many modp
+loads_catalog lower_macaulay lower_macaulay_upto macaulay macaulay_rep modp
 monomials multiply n_of nl_codim_floor random_subspace restrict_to_hyperplane run_all run_suite
-section_dim subspace_from_rows threshold_value upper_macaulay upper_macaulay_many
+section_dim subspace_from_rows threshold_value upper_macaulay upper_macaulay_upto
 vanishing_hypothesis_met verify
 """.split()
 

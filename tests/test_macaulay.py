@@ -16,11 +16,10 @@ from nlgotz.macaulay import (
     growth_slack_check,
     growth_slack_sum,
     lower_macaulay,
-    lower_macaulay_many,
+    lower_macaulay_upto,
     macaulay_rep,
-    macaulay_rep_many,
     upper_macaulay,
-    upper_macaulay_many,
+    upper_macaulay_upto,
 )
 
 from oracles import all_decompositions, comb_greedy, green_triangle, pascal_binom, shifted_bounds
@@ -183,7 +182,7 @@ def test_growth_slack_sum_is_sharp():
     for n in range(1, 41):
         edge = [growth_slack_sum(n, e) for e in range(n + 2)]
         uppers = [upper_macaulay(c, n) for c in edge]
-        assert upper_macaulay_many(edge, n).tolist() == uppers, n
+        assert upper_macaulay_upto(growth_slack_sum(n, n + 1), n)[edge].tolist() == uppers, n
         for e, (c, upper) in enumerate(zip(edge, uppers)):
             assert upper > c + e, (n, e, c, upper)
             pairs += 1
@@ -285,49 +284,47 @@ def _timed(fn, *args):
     return time.perf_counter() - t0
 
 
-def _padded(c, d):
-    ks = macaulay_rep(c, d).ks
-    return list(ks) + [0] * (d - len(ks))
-
-
-def test_many_equal_the_scalar_functions_below_3000():
-    cs = np.arange(3000)
+def test_upto_equals_the_scalar_functions_below_3000():
     for d in range(1, 13):
-        ks = macaulay_rep_many(cs, d)
-        assert ks.dtype == np.int64 and ks.shape == (3000, d)
-        assert ks.tolist() == [_padded(c, d) for c in range(3000)]
-        assert upper_macaulay_many(cs, d).tolist() == [upper_macaulay(c, d) for c in range(3000)]
-        assert lower_macaulay_many(cs, d).tolist() == [lower_macaulay(c, d) for c in range(3000)]
+        ups, lows = upper_macaulay_upto(2999, d), lower_macaulay_upto(2999, d)
+        assert ups.dtype == lows.dtype == np.int64 and ups.shape == lows.shape == (3000,)
+        assert ups.tolist() == [upper_macaulay(c, d) for c in range(3000)]
+        assert lows.tolist() == [lower_macaulay(c, d) for c in range(3000)]
 
 
-def test_many_edge_contract():
-    for fn in (macaulay_rep_many, upper_macaulay_many, lower_macaulay_many):
+def test_upto_edge_contract():
+    for fn in (upper_macaulay_upto, lower_macaulay_upto):
         with pytest.raises(ValueError):
-            fn([3, -1], 2)
+            fn(-1, 2)
         with pytest.raises(ValueError):
-            fn([3], 0)
-        with pytest.raises(ValueError):
-            fn([], 0)
-        # past int64, as a Python int or as uint64
-        with pytest.raises(ValueError):
-            fn([2**64], 3)
-        with pytest.raises(ValueError):
-            fn(np.array([2**63], dtype=np.uint64), 3)
-    assert macaulay_rep_many([], 4).shape == (0, 4)
-    assert upper_macaulay_many([], 4).shape == lower_macaulay_many([], 4).shape == (0,)
-    assert macaulay_rep_many([0], 5).tolist() == [[0] * 5]
-    assert upper_macaulay_many([0], 5).tolist() == lower_macaulay_many([0], 5).tolist() == [0]
+            fn(3, 0)
+        # refused before any allocation: at 2^31 a product could pass 2^63
+        with pytest.raises(ValueError, match="2\\^31"):
+            fn(2**31, 3)
+        assert fn(0, 5).tolist() == [0]
     # degree one: k_1 = c, c^<1> = C(c + 1, 2), c_<1> = c - 1
-    cs = np.array([0, 1, 7, 2**31 + 5, 2**32 - 1])
-    assert macaulay_rep_many(cs, 1)[:, 0].tolist() == cs.tolist()
-    assert upper_macaulay_many(cs, 1).tolist() == [c * (c + 1) // 2 for c in cs.tolist()]
-    assert lower_macaulay_many(cs, 1).tolist() == [0, 0, 6, 2**31 + 4, 2**32 - 2]
-    # C(2^32 + 1, 2) = 2^63 + 2^31 is past int64: refused, never wrapped
-    with pytest.raises(ValueError, match="int64"):
-        upper_macaulay_many([5, 2**32], 1)
-    top = 2**63 - 1
-    assert lower_macaulay_many([top], 1).tolist() == [top - 1]
-    assert macaulay_rep_many([top], 2)[0].tolist() == _padded(top, 2)
+    assert upper_macaulay_upto(7, 1).tolist() == [c * (c + 1) // 2 for c in range(8)]
+    assert lower_macaulay_upto(7, 1).tolist() == [0, 0, 1, 2, 3, 4, 5, 6]
+
+
+def test_a_numpy_integer_expands_like_the_int_in_either_order():
+    # np.int64(c) and c share a memo key; near 2^63 the numpy value would wrap
+    # in the walk, so the walk makes it an int on every miss
+    c = 2**62
+    for d in (2, 3, 9):
+        ks = comb_greedy(c, d)
+        want = (ks, *shifted_bounds(d, ks))
+        for order in ((c, np.int64(c)), (np.int64(c), c)):
+            macaulay._walk.cache_clear()
+            for x in order:
+                got = (macaulay_rep(x, d).ks, upper_macaulay(x, d), lower_macaulay(x, d))
+                assert got == want, (type(x), d)
+        macaulay._walk.cache_clear()
+        assert upper_macaulay(c, np.int64(d)) == want[1]
+    for fn in (macaulay_rep, upper_macaulay, lower_macaulay):
+        macaulay._walk.cache_clear()
+        with pytest.raises(TypeError):
+            fn(float(c), 2)
 
 
 def test_a_walk_of_ones_grows_no_table():
@@ -350,8 +347,7 @@ def test_huge_c_stays_fast_with_bounded_tables():
         assert rep.value() == 10**40
         assert all(a > b for a, b in zip(rep.ks, rep.ks[1:]))
     for d in (1, 2, 3):
-        macaulay_rep_many([2**63 - 1, 2**40], d)
-        lower_macaulay_many([2**63 - 1, 2**40], d)
+        upper_macaulay_upto(10**6, d)
     # degrees 1 and 2 need no table, and no table outgrows the cap
     assert 1 not in macaulay._tables and 2 not in macaulay._tables
     assert all(len(t) <= macaulay._TABLE_CAP for t in macaulay._tables.values())
@@ -360,8 +356,6 @@ def test_huge_c_stays_fast_with_bounded_tables():
 # small c exercises short expansions, large c long ones with big k_d
 _cs = st.one_of(st.integers(0, 500), st.integers(0, 10**12))
 _ds = st.integers(1, 12)
-# below and above the int64 sweep limit, up to the largest int64
-_int64_cs = st.one_of(st.integers(0, 3000), st.integers(0, 2**31 + 10), st.integers(0, 2**63 - 1))
 
 
 _deep_ds = st.integers(1, 80)
@@ -404,16 +398,13 @@ def test_memo_eviction_never_changes_an_answer(pairs):
         assert (upper, lower) == shifted_bounds(d, rep.ks)
 
 
-@given(cs=st.lists(_int64_cs, max_size=12), d=_ds)
-def test_many_equal_the_scalar_functions(cs, d):
-    assert macaulay_rep_many(cs, d).tolist() == [_padded(c, d) for c in cs]
-    assert lower_macaulay_many(cs, d).tolist() == [lower_macaulay(c, d) for c in cs]
-    uppers = [upper_macaulay(c, d) for c in cs]
-    if max(uppers, default=0) <= 2**63 - 1:
-        assert upper_macaulay_many(cs, d).tolist() == uppers
-    else:
-        with pytest.raises(ValueError, match="int64"):
-            upper_macaulay_many(cs, d)
+@given(c_max=st.one_of(st.integers(0, 300), st.integers(0, 10**5)), d=_deep_ds, data=st.data())
+def test_upto_equals_the_scalar_functions_at_sampled_positions(c_max, d, data):
+    ups, lows = upper_macaulay_upto(c_max, d), lower_macaulay_upto(c_max, d)
+    assert ups.shape == lows.shape == (c_max + 1,)
+    cs = [0, c_max, *data.draw(st.lists(st.integers(0, c_max), max_size=12))]
+    assert ups[cs].tolist() == [upper_macaulay(c, d) for c in cs]
+    assert lows[cs].tolist() == [lower_macaulay(c, d) for c in cs]
 
 
 @given(c=_cs, d=_ds)

@@ -118,15 +118,15 @@ def test_growth_suite_reports_a_planted_violation(monkeypatch):
     # c^<n> raised past c + n + 1, the loosest bound any slack e allows, at one c:
     # exactly the rows whose prefix 0..slack_sum - 1 reaches that c must fail
     planted_c = 12
-    real = verify.upper_macaulay_many
+    real = verify.upper_macaulay_upto
 
-    def planted(cs, n):
-        ups = real(cs, n)
-        if planted_c < len(ups):
+    def planted(c_max, n):
+        ups = real(c_max, n)
+        if planted_c <= c_max:
             ups[planted_c] = planted_c + n + 2
         return ups
 
-    monkeypatch.setattr(verify, "upper_macaulay_many", planted)
+    monkeypatch.setattr(verify, "upper_macaulay_upto", planted)
     rows = run_suite("growth", SMALL).rows
     assert [r.params for r in rows] == [r.params for r in _scalar_growth_rows(SMALL.n_max)]
     failed = 0
