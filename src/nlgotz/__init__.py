@@ -2,61 +2,60 @@
 growth and restriction theorems on projective space, and explicit
 Noether-Lefschetz codimension floors for threefolds.
 
-Importing the package loads no numpy.  The floor evaluator (`bounds`), the
-catalog, the scalar Macaulay functions and the run settings are plain
-Python and are bound here at import.  The F_p layers (`graded`, `modp`,
-`monomials`, `verify`) and their names are imported on first access, so
-numpy loads only where F_p arithmetic runs; the whole-range Macaulay
-functions over c = 0..c_max (`upper_macaulay_upto`, `lower_macaulay_upto`,
-`green_implication_scan`) load it when first called.
+Importing the package binds no submodule and loads no numpy: every name
+below is imported on first use, from the module that defines it.  So
+`default_catalog()` loads the catalog and the threefold invariants
+(`invariants`) but not the floor evaluator (`bounds`); `upper_macaulay`
+loads the scalar Macaulay layer alone; and numpy loads only where F_p
+arithmetic runs (`graded`, `modp`, `monomials`, `verify`).  The whole-range
+Macaulay functions over c = 0..c_max (`upper_macaulay_upto`,
+`lower_macaulay_upto`, `green_implication_scan`) load it when first called.
 """
-
-from .bounds import (
-    AmplenessResult,
-    BoundResult,
-    BundleSpec,
-    ContradictionTrace,
-    HypothesisCheck,
-    ThreefoldInvariants,
-    blowup_ampleness,
-    contradiction_trace,
-    derive_subcanonical_invariants,
-    ein_lazarsfeld_floor,
-    n_of,
-    nl_codim_floor,
-    threshold_value,
-    vanishing_hypothesis_met,
-)
-from .catalog import (
-    CatalogError,
-    CatalogRecord,
-    default_catalog,
-    dumps_catalog,
-    find_record,
-    load_catalog,
-    loads_catalog,
-)
-from .macaulay import (
-    GrowthSlackCheck,
-    MacaulayRep,
-    binom,
-    green_implication_scan,
-    growth_slack_check,
-    lower_macaulay,
-    lower_macaulay_upto,
-    macaulay_rep,
-    upper_macaulay,
-    upper_macaulay_upto,
-)
-from .settings import DEFAULT_SEED, SUITES, VerifyConfig
 
 __version__ = "0.1.0"
 
 # the one row-reduction kernel (`modp`), named in run records
 KERNEL_BACKEND = "blas-f64"
 
-# the F_p names, by the module that defines them; each is imported when first read
+# the public names, by the module that defines them; each is imported when first read
 _LAZY_NAMES = {
+    "invariants": ("ThreefoldInvariants", "derive_subcanonical_invariants"),
+    "bounds": (
+        "AmplenessResult",
+        "BoundResult",
+        "BundleSpec",
+        "ContradictionTrace",
+        "HypothesisCheck",
+        "blowup_ampleness",
+        "contradiction_trace",
+        "ein_lazarsfeld_floor",
+        "n_of",
+        "nl_codim_floor",
+        "threshold_value",
+        "vanishing_hypothesis_met",
+    ),
+    "catalog": (
+        "CatalogError",
+        "CatalogRecord",
+        "default_catalog",
+        "dumps_catalog",
+        "find_record",
+        "load_catalog",
+        "loads_catalog",
+    ),
+    "macaulay": (
+        "GrowthSlackCheck",
+        "MacaulayRep",
+        "binom",
+        "green_implication_scan",
+        "growth_slack_check",
+        "lower_macaulay",
+        "lower_macaulay_upto",
+        "macaulay_rep",
+        "upper_macaulay",
+        "upper_macaulay_upto",
+    ),
+    "settings": ("DEFAULT_SEED", "SUITES", "VerifyConfig"),
     "graded": (
         "AdditivityError",
         "BudgetExceededError",
@@ -83,46 +82,19 @@ _LAZY_NAMES = {
     "verify": ("SuiteReport", "TrialRow", "consistency_sweep", "run_all", "run_suite"),
 }
 _LAZY = {name: module for module, names in _LAZY_NAMES.items() for name in names}
-_SUBMODULES = ("graded", "modp", "monomials", "verify")
+_SUBMODULES = (
+    "bounds",
+    "catalog",
+    "graded",
+    "invariants",
+    "macaulay",
+    "modp",
+    "monomials",
+    "settings",
+    "verify",
+)
 
-__all__ = [
-    "AmplenessResult",
-    "BoundResult",
-    "BundleSpec",
-    "ContradictionTrace",
-    "HypothesisCheck",
-    "ThreefoldInvariants",
-    "blowup_ampleness",
-    "contradiction_trace",
-    "derive_subcanonical_invariants",
-    "ein_lazarsfeld_floor",
-    "n_of",
-    "nl_codim_floor",
-    "threshold_value",
-    "vanishing_hypothesis_met",
-    "CatalogError",
-    "CatalogRecord",
-    "default_catalog",
-    "dumps_catalog",
-    "find_record",
-    "load_catalog",
-    "loads_catalog",
-    "GrowthSlackCheck",
-    "MacaulayRep",
-    "binom",
-    "green_implication_scan",
-    "growth_slack_check",
-    "lower_macaulay",
-    "lower_macaulay_upto",
-    "macaulay_rep",
-    "upper_macaulay",
-    "upper_macaulay_upto",
-    "DEFAULT_SEED",
-    "SUITES",
-    "VerifyConfig",
-    "KERNEL_BACKEND",
-    *_LAZY,
-]
+__all__ = ["KERNEL_BACKEND", *_LAZY]
 
 
 def __getattr__(name: str):

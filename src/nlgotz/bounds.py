@@ -1,15 +1,15 @@
 """Explicit codimension floors for Noether-Lefschetz loci on threefolds.
 
 A smooth projective threefold Y (not P^3) with very ample H carries four
-small invariants: alpha and beta describe the canonical class in the
-(-d)-regular normalization (K_Y(beta) regular-twist side, -K_Y + alpha H nef
-side), while a_adj and b_adj play the same roles for adjoint bundles
-L = K_Y + dH + A with A nef.  The evaluator turns those invariants, a degree
-d, and knowledge about an H^1 vanishing into an explicit lower bound for the
-codimension of the components of the Noether-Lefschetz locus, following the
-chain: restrict to a general surface section, multiply into a regular twist,
-apply the Macaulay growth bound, and compare with the base-point-free floor
-of Ein-Lazarsfeld type.  `contradiction_trace` replays that chain numerically
+small invariants, alpha, beta, a_adj and b_adj, defined once in
+`nlgotz.invariants`: (alpha, beta) serve the (-d)-regular family of line
+bundles and (a_adj, b_adj) the adjoint bundles L = K_Y + dH + A with A nef.
+The evaluator turns those invariants, a degree d, and knowledge about an
+H^1 vanishing into an explicit lower bound for the codimension of the
+components of the Noether-Lefschetz locus, following the chain: restrict to
+a general surface section, multiply into a regular twist, apply the
+Macaulay growth bound, and compare with the base-point-free floor of
+Ein-Lazarsfeld type.  `contradiction_trace` replays that chain numerically
 for a hypothetical component below the floor.
 """
 
@@ -18,6 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Literal, Optional
 
+from .invariants import ThreefoldInvariants, derive_subcanonical_invariants
 from .macaulay import growth_slack_sum, upper_macaulay
 
 __all__ = [
@@ -39,67 +40,6 @@ __all__ = [
 
 Variant = Literal["minus_d_regular", "adjoint"]
 VARIANTS: tuple[str, ...] = ("minus_d_regular", "adjoint")
-
-
-@dataclass(frozen=True)
-class ThreefoldInvariants:
-    """The numerical inputs the bound evaluator needs about Y.
-
-    alpha, beta: smallest twists with -K_Y + alpha H nef and K_Y + beta H
-    globally generated (beta >= 1, and alpha >= 1 since -K_Y alone is never
-    nef here).  a_adj, b_adj: the analogous pair used for adjoint bundles.
-    subcanonical_e: if K_Y = e H exactly, that e.  h3: the degree H^3.
-    """
-
-    name: str
-    alpha: int
-    beta: int
-    a_adj: int
-    b_adj: int
-    subcanonical_e: Optional[int] = None
-    h3: Optional[int] = None
-    pic_is_z: bool = False
-    is_linear_p2_bundle: bool = False
-    is_quadric: bool = False
-    is_p3: bool = False
-
-    def validate(self) -> None:
-        if not self.name:
-            raise ValueError("invariants need a nonempty name")
-        if self.alpha < 1:
-            raise ValueError(f"{self.name}: alpha must be >= 1")
-        if self.beta < 1:
-            raise ValueError(f"{self.name}: beta must be >= 1")
-        if self.b_adj < 1:
-            raise ValueError(f"{self.name}: b_adj must be >= 1")
-        if self.a_adj < 0:
-            raise ValueError(f"{self.name}: a_adj must be >= 0")
-        if not self.is_p3:
-            if self.alpha > 4 or self.a_adj > 4:
-                raise ValueError(f"{self.name}: alpha and a_adj cannot exceed 4 off P^3")
-            if (self.alpha == 4 or self.a_adj == 4) and not (
-                self.is_linear_p2_bundle or self.is_quadric
-            ):
-                key = "alpha" if self.alpha == 4 else "a_adj"
-                raise ValueError(
-                    f"{self.name}: {key} = 4 forces a linear P^2-bundle or the quadric"
-                )
-        if self.is_quadric and self.is_linear_p2_bundle:
-            raise ValueError(f"{self.name}: the quadric is not a linear P^2-bundle")
-        if self.is_quadric:
-            stated = (self.alpha, self.beta, self.a_adj, self.b_adj)
-            if self.subcanonical_e not in (None, -3) or stated != _QUADRIC_INVARIANTS:
-                raise ValueError(
-                    f"{self.name}: the quadric has K = -3H, so subcanonical e = -3 and "
-                    f"(alpha, beta, a_adj, b_adj) = {_QUADRIC_INVARIANTS}, not {stated}"
-                )
-        if self.is_linear_p2_bundle and self.alpha != 4:
-            # K_Y + 3H is trivial on the fibres, which forces alpha = 4
-            raise ValueError(f"{self.name}: a linear P^2-bundle has alpha = 4")
-        if self.subcanonical_e is not None and self.subcanonical_e <= 0 and self.beta != 1:
-            raise ValueError(f"{self.name}: subcanonical e <= 0 forces beta = 1")
-        if self.h3 is not None and self.h3 < 1:
-            raise ValueError(f"{self.name}: H^3 must be positive")
 
 
 @dataclass(frozen=True)
@@ -137,30 +77,6 @@ class BoundResult:
     n_value: int
     assumptions: tuple[str, ...] = ()
     notes: tuple[str, ...] = ()
-
-
-def derive_subcanonical_invariants(e: int) -> tuple[int, int, int, int]:
-    """(alpha, beta, a_adj, b_adj) for a threefold with K_Y = e H exactly.
-
-    A multiple tH of a very ample H is very ample iff t >= 1, so the four
-    smallest admissible twists are immediate:
-
-        alpha = max(1, 1 - e)   smallest alpha >= 1 with K_Y + alpha H very ample
-        beta  = max(1, 1 + e)   smallest beta >= 1 with beta H - K_Y very ample
-        a_adj = 1 - e           the adjoint-side alpha, where 0 is allowed
-        b_adj = 1               sufficient whenever e <= 1, true of every
-                                subcanonical case in range
-
-    Only e <= 1 is supported; beyond that a_adj would go negative.
-    """
-    if e > 1:
-        raise ValueError("subcanonical derivation expects e <= 1")
-    alpha = max(1, 1 - e)
-    return alpha, max(1, 1 + e), 1 - e, 1
-
-
-# K_Q = -3H on the quadric threefold
-_QUADRIC_INVARIANTS = derive_subcanonical_invariants(-3)
 
 
 def n_of(d: int, a: int, b: int) -> int:
@@ -474,6 +390,11 @@ def blowup_ampleness(
     degree H^3, the subcanonical degree e with K_Y = eH, and the two degree
     hypotheses d >= 7 + e and (H^1 vanishing known or d >= 3e + 13).  Under
     those, the verdict is decided by the strict inequality d^3 H^3 > k.
+
+    Unresolved mismatch: d^3 H^3 - k is the top self-intersection of
+    dH - E_1 - ... - E_k on the blow-up at k points, while for one point
+    (dH - kE)^3 = d^3 H^3 - k^3.  Which of the two the source states is not
+    settled here; the verdicts follow d^3 H^3 > k as they always have.
     """
     inv.validate()
     if inv.is_p3:

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from pathlib import Path
 
-from .bounds import ThreefoldInvariants, derive_subcanonical_invariants
+from .invariants import ThreefoldInvariants, derive_subcanonical_invariants
 
 __all__ = [
     "CatalogError",

@@ -4,6 +4,10 @@ Exit codes: 0 success (bound found / all checks passed / ample), 2 invalid
 arguments or out-of-domain inputs, 3 a clean "no" (no bound at this degree,
 not ample, hypotheses unmet), 4 a check failed (a verification suite found a
 violation, or a contradiction trace was not confirmed).
+
+Each command imports the modules it runs when it runs, so a command loads
+only what it needs: `decompose` the scalar Macaulay layer, `catalog` the
+catalog, `bound` and `ample` the floor evaluator, and `verify` numpy.
 """
 
 from __future__ import annotations
@@ -13,10 +17,6 @@ import csv
 import os
 import sys
 
-from .bounds import BundleSpec, ThreefoldInvariants, contradiction_trace, nl_codim_floor
-from .bounds import blowup_ampleness
-from .catalog import default_catalog, dumps_catalog, find_record, load_catalog
-from .macaulay import lower_macaulay, macaulay_rep, upper_macaulay
 from .settings import DEFAULT_PRIME, DEFAULT_SEED, DEFAULT_TRACE_DMAX, SUITES, VerifyConfig
 
 _ENV_SEED = "NLGOTZ_SEED"
@@ -97,7 +97,14 @@ def _parser() -> argparse.ArgumentParser:
     v.add_argument("--format", choices=("table", "csv"), default="table")
     v.add_argument("--out", metavar="PATH", help="also write the report (in the chosen format)")
 
-    a = sub.add_parser("ample", help="blow-up positivity at a very general point")
+    a = sub.add_parser(
+        "ample",
+        help="blow-up positivity at a very general point",
+        description="Decide positivity of dH - kE on the blow-up of a very general "
+        "point by d^3 H^3 > k. Unresolved mismatch: d^3 H^3 - k is the top "
+        "self-intersection of dH - E_1 - ... - E_k on the blow-up at k points, while "
+        "for one point (dH - kE)^3 = d^3 H^3 - k^3.",
+    )
     a.add_argument("entry")
     a.add_argument("-d", "--degree", type=int, required=True)
     a.add_argument("-k", type=int, required=True)
@@ -111,12 +118,16 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def _records(args):
+    from .catalog import default_catalog, load_catalog
+
     if getattr(args, "catalog", None):
         return load_catalog(args.catalog)
     return default_catalog()
 
 
-def _inline_invariants(args) -> ThreefoldInvariants:
+def _inline_invariants(args):
+    from .invariants import ThreefoldInvariants
+
     values = {_dest(flag): getattr(args, _dest(flag)) for flag in _INVARIANT_FLAGS}
     missing = [flag for flag in _INVARIANT_FLAGS if values[_dest(flag)] is None]
     if missing and not args.p3:
@@ -141,6 +152,8 @@ def _check_marks(checks, out):
 
 
 def cmd_decompose(args, out) -> int:
+    from .macaulay import lower_macaulay, macaulay_rep, upper_macaulay
+
     rep = macaulay_rep(args.c, args.d)
     upper = upper_macaulay(args.c, args.d)
     lower = lower_macaulay(args.c, args.d)
@@ -157,6 +170,9 @@ def cmd_decompose(args, out) -> int:
 
 
 def cmd_bound(args, out) -> int:
+    from .bounds import BundleSpec, contradiction_trace, nl_codim_floor
+    from .catalog import find_record
+
     if args.trace is not None and args.format == "csv":
         raise ValueError("--trace prints in the table format only; drop --format csv")
     variant = args.variant.replace("-", "_")
@@ -274,6 +290,9 @@ def cmd_verify(args, out) -> int:
 
 
 def cmd_ample(args, out) -> int:
+    from .bounds import blowup_ampleness
+    from .catalog import find_record
+
     inv = find_record(_records(args), args.entry).invariants
     res = blowup_ampleness(inv, args.degree, args.k, h1_known_zero=args.h1_zero)
     _check_marks(res.checks, out)
@@ -286,6 +305,8 @@ def cmd_ample(args, out) -> int:
 
 
 def cmd_catalog(args, out) -> int:
+    from .catalog import default_catalog, dumps_catalog
+
     text = dumps_catalog(default_catalog())
     if args.out:
         with open(args.out, "w", encoding="utf-8", newline="") as fh:

@@ -18,7 +18,6 @@ from . import graded
 from .bounds import (
     VARIANTS,
     BundleSpec,
-    ThreefoldInvariants,
     _floor_formula,
     _growth_step,
     contradiction_trace,
@@ -40,6 +39,7 @@ from .graded import (
     section_dim,
     subspace_from_rows,
 )
+from .invariants import ThreefoldInvariants
 from .macaulay import green_implication_scan, growth_slack_sum, upper_macaulay_upto
 from .monomials import monomial_index
 from .settings import DEFAULT_SEED, DEFAULT_TRACE_DMAX, SUITES, VerifyConfig

@@ -1,5 +1,7 @@
 """Catalog parsing, serialization, and the built-in entries."""
 
+import pickle
+
 import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
@@ -13,7 +15,34 @@ from nlgotz.catalog import (
     load_catalog,
     loads_catalog,
 )
+import nlgotz.bounds
+import nlgotz.invariants
 from nlgotz.bounds import ThreefoldInvariants, derive_subcanonical_invariants
+
+
+def test_subcanonical_records_carry_the_derived_invariants():
+    records = [r.invariants for r in default_catalog()]
+    subcanonical = [inv for inv in records if inv.subcanonical_e is not None]
+    names = [inv.name for inv in subcanonical]
+    assert names == ["quadric", "cubic", "quartic", "quintic", "sextic"]
+    for inv in subcanonical:
+        stated = (inv.alpha, inv.beta, inv.a_adj, inv.b_adj)
+        assert stated == derive_subcanonical_invariants(inv.subcanonical_e), inv.name
+
+
+def test_invariants_keep_their_old_import_path_and_pickle():
+    assert nlgotz.bounds.ThreefoldInvariants is nlgotz.invariants.ThreefoldInvariants
+    assert (
+        nlgotz.bounds.derive_subcanonical_invariants
+        is nlgotz.invariants.derive_subcanonical_invariants
+    )
+    records = default_catalog()
+    assert pickle.loads(pickle.dumps(records)) == records
+    # a pickle that names the class under its old module still loads
+    inv = records[0].invariants
+    old = pickle.dumps(inv, protocol=0).replace(b"nlgotz.invariants\n", b"nlgotz.bounds\n")
+    assert old != pickle.dumps(inv, protocol=0)
+    assert pickle.loads(old) == inv
 
 
 def test_default_catalog_entries():

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import nlgotz
-from nlgotz import cli, graded
+from nlgotz import bounds, cli, graded
 from nlgotz import verify as verify_mod
 from nlgotz.bounds import contradiction_trace
 from nlgotz.catalog import loads_catalog
@@ -98,7 +98,8 @@ def test_bound_unconfirmed_trace_exits_4(monkeypatch, capsys):
     def unconfirmed(inv, spec, c_hyp):
         return dataclasses.replace(contradiction_trace(inv, spec, c_hyp), confirmed=False)
 
-    monkeypatch.setattr(cli, "contradiction_trace", unconfirmed)
+    # `cmd_bound` imports the evaluator when it runs, so it reads the patched name
+    monkeypatch.setattr(bounds, "contradiction_trace", unconfirmed)
     args = ["bound", "quadric", "--variant", "minus-d-regular", "-d", "10", "--trace", "4"]
     assert main(args) == 4
     assert capsys.readouterr().out.endswith("confirmed: NO\n")
@@ -422,6 +423,55 @@ def test_only_verify_loads_numpy():
     assert seen.pop("verify") == [0, True]
     assert seen == {"unresolved": [], "undirected": []}
     assert sorted(set(nlgotz.__all__) - set(PUBLIC_NAMES)) == []
+
+
+# one step in a fresh interpreter, then the nlgotz modules (and numpy) it loaded
+MODULES_SCRIPT = """
+import contextlib, io, json, sys
+import nlgotz
+step = sys.argv[1:]
+if step == ["default_catalog"]:
+    nlgotz.default_catalog()
+elif step == ["upper_macaulay"]:
+    from nlgotz import upper_macaulay
+elif step[0] == "names":
+    missing = [n for n in step[1:] if not hasattr(nlgotz, n) or n not in dir(nlgotz)]
+    assert not missing, missing
+else:
+    from nlgotz import cli
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(step) in (0, 3)
+print(json.dumps(sorted(m for m in sys.modules if m == "numpy" or m.startswith("nlgotz"))))
+"""
+
+_EVALUATOR = ["bounds", "catalog", "cli", "invariants", "macaulay", "settings"]
+
+
+@pytest.mark.parametrize(
+    "step, loaded",
+    [
+        (["default_catalog"], ["catalog", "invariants"]),
+        (["upper_macaulay"], ["macaulay"]),
+        (["decompose", "1000", "5"], ["cli", "macaulay", "settings"]),
+        (["catalog"], ["catalog", "cli", "invariants", "settings"]),
+        (["bound", "quartic", "--variant", "adjoint", "-d", "20"], _EVALUATOR),
+        (["ample", "quintic", "-d", "3", "-k", "10"], _EVALUATOR),
+        (["names", "invariants", "settings", *PUBLIC_NAMES], None),
+    ],
+    ids=["default_catalog", "upper_macaulay", "decompose", "catalog", "bound", "ample", "names"],
+)
+def test_each_step_loads_only_its_modules(step, loaded):
+    env = dict(os.environ, PYTHONPATH=str(Path(nlgotz.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-c", MODULES_SCRIPT, *step],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    if loaded is not None:
+        assert json.loads(proc.stdout) == ["nlgotz", *(f"nlgotz.{m}" for m in loaded)]
 
 
 def test_verify_rejects_unknown_suite(capsys):
